@@ -20,8 +20,8 @@ import numpy as np
 from tvdpm.datagen import DENSITY_PRESETS, gen_density_data, mixture_density
 from tvdpm.kernels import NormalInverseGamma, StaticKernel
 from tvdpm.models import GaussianModel, ObservationBatch
-from tvdpm.smc import FilterConfig, RhoWalk, WalkUniform, run_filter
-from tvdpm.urn import MixturePolicy, SizeBiasedDeletion
+from tvdpm.smc import FilterConfig, RhoWalk, run_filter
+from tvdpm.urn import MixturePolicy, SizeBiasedDeletion, UniformDeletion
 
 
 def main():
@@ -53,7 +53,7 @@ def main():
     fc = FilterConfig(
         n_particles=args.n_particles,
         theta=args.theta,
-        policy=MixturePolicy(args.alpha, WalkUniform(), SizeBiasedDeletion()),
+        policy=MixturePolicy(args.alpha, UniformDeletion(None), SizeBiasedDeletion()),
         proposal="conjugate",
         rho_walk=RhoWalk(a_rho=args.a_rho, rho0=args.rho0),
         grid=grid,

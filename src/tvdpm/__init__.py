@@ -23,22 +23,18 @@ from .kernels import (
     FiniteAtomic,
     GaussianAR1,
     GaussianKnownVar,
-    LocationTrack,
     NormalInverseGamma,
     StaticKernel,
     SymmetricDirichlet,
-    evolve_locations,
     sample_base,
-    transition,
 )
-from .models import GaussianModel, KnownVarGaussianModel, ObservationBatch, TopicModel
+from .models import DataError, GaussianModel, KnownVarGaussianModel, ObservationBatch, TopicModel, stats_of
 from .smc import (
     DegeneracyError,
     DensityEstimate,
     FilterConfig,
     Particle,
     RhoWalk,
-    WalkUniform,
     advance,
     ess,
     estimate_alive_mass,

@@ -3,8 +3,7 @@
 Subcommands: gen-data (synthetic streams), simulate (urn trajectories),
 validate (statistical suite), smc / mcmc (inference runs), correlation
 (decay-curve CSV).  Every run is a pure function of its configuration and
-seed; --threads is accepted for interface compatibility but results never
-depend on it.  Exit codes: 0 ok, 1 validation/run failure, 2 usage error.
+seed.  Exit codes: 0 ok, 1 validation/run failure, 2 usage or data error.
 """
 
 from __future__ import annotations
@@ -28,9 +27,9 @@ from .config import (
 )
 from .diagnostics import mean_correlation_curve, run_validation_suite
 from .mcmc import MCMCState, sweep
-from .models import read_corpus, read_observation_batches
+from .models import DataError, read_corpus, read_observation_batches
 from .smc import DegeneracyError, run_filter
-from .urn import run_trajectory
+from .urn import policy_uses_walk, run_trajectory
 
 
 def _policy_from_string(text: str):
@@ -44,7 +43,10 @@ def _policy_from_string(text: str):
         )
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"policy rejected: {exc.message}") from exc
-    return build_policy(spec)
+    policy = build_policy(spec)
+    if policy_uses_walk(policy):
+        raise ConfigError('policy rejected: the rho walk ("rho": "walk") is for smc only')
+    return policy
 
 
 def _open_out(path):
@@ -208,7 +210,6 @@ def cmd_correlation(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="tvdpm", description=__doc__)
-    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; results are independent of it")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="emit a synthetic observation stream")
@@ -264,7 +265,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, DataError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,13 +15,14 @@ import numpy as np
 
 from .kernels import GaussianAR1, GaussianKnownVar, NormalInverseGamma, StaticKernel, SymmetricDirichlet
 from .models import GaussianModel, KnownVarGaussianModel, TopicModel
-from .smc import FilterConfig, RhoWalk, WalkUniform
+from .smc import FilterConfig, RhoWalk
 from .urn import (
     ComposePolicy,
     MixturePolicy,
     SizeBiasedDeletion,
     SlidingWindow,
     UniformDeletion,
+    policy_uses_walk,
 )
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "build_policy", "build_model"]
@@ -76,9 +77,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
 def build_policy(spec: dict):
     kind = spec["type"]
     if kind == "uniform":
-        if spec["rho"] == "walk":
-            return WalkUniform()
-        return UniformDeletion(spec["rho"])
+        return UniformDeletion(None if spec["rho"] == "walk" else spec["rho"])
     if kind == "size_biased":
         return SizeBiasedDeletion(spec.get("count", 1))
     if kind == "mixture":
@@ -129,8 +128,7 @@ def build_filter_config(cfg: ExperimentConfig) -> FilterConfig:
         else None
     )
     policy = build_policy(cfg.policy)
-    uses_walk = _policy_uses_walk(cfg.policy)
-    if uses_walk and walk is None:
+    if policy_uses_walk(policy) and walk is None:
         raise ConfigError("policy references the rho walk but inference.rho_walk is missing")
     return FilterConfig(
         n_particles=inf["n_particles"],
@@ -141,13 +139,3 @@ def build_filter_config(cfg: ExperimentConfig) -> FilterConfig:
         rho_walk=RhoWalk(walk["a_rho"], walk["rho0"]) if walk else None,
         grid=grid,
     )
-
-
-def _policy_uses_walk(spec: dict) -> bool:
-    if spec["type"] == "uniform":
-        return spec["rho"] == "walk"
-    if spec["type"] == "mixture":
-        return _policy_uses_walk(spec["a"]) or _policy_uses_walk(spec["b"])
-    if spec["type"] == "compose":
-        return any(_policy_uses_walk(p) for p in spec["policies"])
-    return False

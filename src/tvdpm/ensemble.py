@@ -26,19 +26,11 @@ from .urn import (
     SizeBiasedDeletion,
     SlidingWindow,
     UniformDeletion,
+    policy_uses_walk,
+    policy_window,
 )
 
-__all__ = ["UrnEnsemble", "batch_partition_distribution", "batch_partition_keys", "max_window"]
-
-
-def max_window(policy: DeletionPolicy) -> int:
-    if isinstance(policy, SlidingWindow):
-        return policy.r
-    if isinstance(policy, MixturePolicy):
-        return max(max_window(policy.policy_a), max_window(policy.policy_b))
-    if isinstance(policy, ComposePolicy):
-        return max((max_window(p) for p in policy.policies), default=0)
-    return 0
+__all__ = ["UrnEnsemble", "batch_partition_distribution", "batch_partition_keys"]
 
 
 class UrnEnsemble:
@@ -56,11 +48,13 @@ class UrnEnsemble:
     ):
         if theta <= 0:
             raise ValueError("theta must be positive")
+        if policy_uses_walk(policy):
+            raise ValueError('the rho walk ("rho": "walk") is for smc only')
         self.R = n_replicates
         self.theta = float(theta)
         self.policy = policy
         self.time = 0
-        self._window = max_window(policy)
+        self._window = policy_window(policy)
         # Age slots: [current batch, 1 ago, ..., window ago, overflow]; a
         # single slot suffices when no sliding window can ever fire.
         self._depth = self._window + 2 if self._window else 1

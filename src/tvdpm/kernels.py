@@ -24,11 +24,7 @@ __all__ = [
     "BaseMeasure",
     "StaticKernel",
     "GaussianAR1",
-    "LocationTrack",
     "sample_base",
-    "transition",
-    "evolve_locations",
-    "track_records",
 ]
 
 
@@ -136,62 +132,3 @@ class GaussianAR1:
     def transition(self, u_prev, rng: np.random.Generator):
         mu0 = self.base.mu0
         return float(self.phi * (u_prev - mu0) + mu0 + self.noise_scale * rng.standard_normal())
-
-
-def transition(kernel, u_prev, rng: np.random.Generator):
-    """One kernel draw; kernels are duck-typed via a `transition` method."""
-    return kernel.transition(u_prev, rng)
-
-
-@dataclass
-class LocationTrack:
-    """Parameter trajectory of one box: values[i] is the value at time
-    birth_time + i."""
-
-    label: int
-    birth_time: int
-    values: list
-
-    def value_at(self, t: int):
-        return self.values[t - self.birth_time]
-
-    @property
-    def last(self):
-        return self.values[-1]
-
-
-def evolve_locations(
-    tracks: dict[int, LocationTrack],
-    kernel,
-    base: BaseMeasure,
-    newborn_labels,
-    time: int,
-    rng: np.random.Generator,
-) -> dict[int, LocationTrack]:
-    """Extend all alive tracks one step and open tracks for newborn labels."""
-    out = {}
-    for label, tr in tracks.items():
-        values = list(tr.values)
-        values.append(transition(kernel, values[-1], rng))
-        out[label] = LocationTrack(label, tr.birth_time, values)
-    for label in newborn_labels:
-        if label in out or label in tracks:
-            raise ValueError(f"newborn label {label} already tracked")
-        out[label] = LocationTrack(label, time, [sample_base(base, rng)])
-    return out
-
-
-def _as_list(value) -> list:
-    if isinstance(value, np.ndarray):
-        return [float(x) for x in value]
-    if isinstance(value, (tuple, list)):
-        return [float(x) for x in value]
-    return [float(value)]
-
-
-def track_records(tracks: dict[int, LocationTrack]):
-    """Yield JSON-ready rows {"label", "t", "value"} for every tracked step."""
-    for label in sorted(tracks):
-        tr = tracks[label]
-        for i, v in enumerate(tr.values):
-            yield {"label": label, "t": tr.birth_time + i, "value": _as_list(v)}

@@ -24,6 +24,10 @@ from collections import defaultdict
 import numpy as np
 
 from .kernels import GaussianAR1, StaticKernel, sample_base
+from .models import stats_of
+from .partitions import sample_log_categorical
+from .urn import UrnState, allocate_batch
+
 __all__ = [
     "MCMCState",
     "reconstruct_counts",
@@ -154,23 +158,10 @@ class MCMCState:
             masses: dict[int, int] = defaultdict(int)
             for unit in alive:
                 masses[unit[2]] += 1
-            total = len(alive)
-            for k in range(n):
-                u = rng.random() * (total + theta)
-                acc = 0.0
-                chosen = 0
-                for lab, m in masses.items():
-                    acc += m
-                    if u < acc:
-                        chosen = lab
-                        break
-                if not chosen:
-                    chosen = label
-                    label += 1
-                masses[chosen] += 1
-                total += 1
-                c[t - 1][k] = chosen
-                alive.append([t, k, chosen])
+            urn, batch = allocate_batch(UrnState(theta, dict(masses), next_label=label), n, rng)
+            label = urn.next_label
+            c[t - 1] = batch
+            alive.extend([t, k, lab] for k, lab in enumerate(batch))
         # units alive after batch T die at the out-of-horizon deletion with
         # probability 1 - rho (d = T), else carry the alive-at-horizon cap
         for unit in alive:
@@ -225,12 +216,7 @@ class MCMCState:
         self.blocks = dict(self.blocks)
         self.founder = {lab: min(units) for lab, units in self.blocks.items()}
         if self.model is not None and self.obs is not None:
-            self.stats = {}
-            for lab, units in self.blocks.items():
-                st = self.model.empty_stats()
-                for (t, k) in units:
-                    self.model.stats_add(st, self.obs[t - 1][k])
-                self.stats[lab] = st
+            self.stats = {lab: self._stats_of(units) for lab, units in self.blocks.items()}
 
     def _init_locations(self, rng: np.random.Generator):
         base = self.model.base if self.model is not None else None
@@ -269,6 +255,9 @@ class MCMCState:
                 del out[lab]
         return out
 
+    def _stats_of(self, units):
+        return stats_of(self.model, (self.obs[t - 1][k] for (t, k) in units))
+
     def _obs_at(self, label: int, v: int) -> list:
         if self.obs is None:
             return []
@@ -289,10 +278,7 @@ class MCMCState:
                 raise AssertionError(f"founder cache wrong for box {lab}")
         if self.model is not None and self.obs is not None:
             for lab, units in self.blocks.items():
-                st = self.model.empty_stats()
-                for (t, k) in units:
-                    self.model.stats_add(st, self.obs[t - 1][k])
-                if not _stats_close(st, self.stats[lab]):
+                if not _stats_close(self._stats_of(units), self.stats[lab]):
                     raise AssertionError(f"stats cache diverged for box {lab}")
 
     # -- summaries ------------------------------------------------------------
@@ -424,16 +410,7 @@ def gibbs_allocation(state: MCMCState, k: int, t: int, rng: np.random.Generator)
     labels = [b for b, m in entry.items() if m > 0]
     scores = [math.log(entry[b]) + adj.get(b, 0.0) + _move_loglik(state, b, z, t) for b in labels]
     scores.append(math.log(state.theta) + _move_loglik(state, None, z, t))
-    top = max(scores)
-    probs = [math.exp(s - top) for s in scores]
-    u = rng.random() * sum(probs)
-    acc = 0.0
-    pick = len(scores) - 1
-    for i, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            pick = i
-            break
+    pick, _ = sample_log_categorical(scores, rng)
     target = labels[pick] if pick < len(labels) else None
 
     if target == a:
@@ -495,9 +472,7 @@ def _attach_new_box(state: MCMCState, b: int, k: int, t: int, dd: int, z, rng):
     for u in range(t, dd + 1):
         state.m_post[u - 1][b] = 1
     if state.model is not None and state.obs is not None:
-        st = state.model.empty_stats()
-        state.model.stats_add(st, z)
-        state.stats[b] = st
+        state.stats[b] = stats_of(state.model, [z])
     if state.mode == "static":
         if state.model is not None and state.obs is not None:
             state.locs[b] = state.model.posterior_sample_from_stats(state.stats[b], rng)
@@ -506,9 +481,7 @@ def _attach_new_box(state: MCMCState, b: int, k: int, t: int, dd: int, z, rng):
     elif state.mode == "ar1":
         traj = {}
         if state.model is not None and state.obs is not None:
-            st = state.model.empty_stats()
-            state.model.stats_add(st, z)
-            traj[t] = state.model.posterior_sample_from_stats(st, rng)
+            traj[t] = state.model.posterior_sample_from_stats(stats_of(state.model, [z]), rng)
         else:
             traj[t] = sample_base(state.kernel.base, rng)
         for v in range(t + 1, dd + 1):
@@ -585,19 +558,9 @@ def gibbs_death_time(state: MCMCState, k: int, t: int, rng: np.random.Generator)
             acc_a += A[u]
         prior = _lifetime_log_prior(rho, t, u, T)
         scores.append(prior + acc_a + b_suffix.get(min(u, T) + 1, 0.0))
-    top = max(scores)
-    if top == NEG_INF:
+    if max(scores) == NEG_INF:
         return
-    probs = [math.exp(s - top) for s in scores]
-    r = rng.random() * sum(probs)
-    acc = 0.0
-    pick = len(candidates) - 1
-    for i, p in enumerate(probs):
-        acc += p
-        if r < acc:
-            pick = i
-            break
-    d_new = candidates[pick]
+    d_new = candidates[sample_log_categorical(scores, rng)[0]]
     if d_new == d_old:
         return
     lo, hi = min(d_old, T), min(d_new, T)
@@ -725,10 +688,7 @@ def relabel(state: MCMCState, label: int, from_time: int):
             if lab not in state.blocks:
                 state.stats.pop(lab, None)
                 continue
-            st = state.model.empty_stats()
-            for (t, k) in state.blocks[lab]:
-                state.model.stats_add(st, state.obs[t - 1][k])
-            state.stats[lab] = st
+            state.stats[lab] = state._stats_of(state.blocks[lab])
     if state.mode == "static" and label in state.locs:
         state.locs[fresh] = state.locs[label]
         if label not in state.blocks:

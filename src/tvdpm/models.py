@@ -24,20 +24,27 @@ from .kernels import (
     NormalInverseGamma,
     SymmetricDirichlet,
 )
+from .partitions import sample_categorical
 
 __all__ = [
+    "DataError",
     "ObservationBatch",
     "GaussianModel",
     "KnownVarGaussianModel",
     "TopicModel",
     "normal_logpdf",
     "student_t_logpdf",
+    "stats_of",
     "read_observation_batches",
     "read_corpus",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
 NEG_INF = float("-inf")
+
+
+class DataError(ValueError):
+    """Observation data rejected where it is read."""
 
 
 @dataclass(frozen=True)
@@ -132,12 +139,6 @@ class GaussianModel:
         mean, var = u
         return _norm_logpdf(z, mean, var)
 
-    def posterior_sample(self, observations, rng: np.random.Generator):
-        stats = self.empty_stats()
-        for z in observations:
-            self.stats_add(stats, z)
-        return self.posterior_sample_from_stats(stats, rng)
-
     def posterior_sample_from_stats(self, stats, rng: np.random.Generator):
         mu_n, kappa_n, nu_n, lam_n = self._posterior_params(stats)
         variance = (lam_n / 2.0) / rng.gamma(nu_n / 2.0)
@@ -148,12 +149,6 @@ class GaussianModel:
         mu_n, kappa_n, nu_n, lam_n = self._posterior_params(stats)
         scale = math.sqrt(lam_n * (kappa_n + 1.0) / (kappa_n * nu_n))
         return _student_t_logpdf_scalar(z, nu_n, mu_n, scale)
-
-    def predictive_log_prob(self, z, observations) -> float:
-        stats = self.empty_stats()
-        for x in observations:
-            self.stats_add(stats, x)
-        return self.predictive_logp(stats, z)
 
     def predictive_grid(self, stats, grid: np.ndarray) -> np.ndarray:
         mu_n, kappa_n, nu_n, lam_n = self._posterior_params(stats)
@@ -233,22 +228,10 @@ class KnownVarGaussianModel:
         norm = top + math.log(sum(math.exp(x - top) for x in logp))
         return [x - norm for x in logp]
 
-    def posterior_sample(self, observations, rng: np.random.Generator):
-        stats = self.empty_stats()
-        for z in observations:
-            self.stats_add(stats, z)
-        return self.posterior_sample_from_stats(stats, rng)
-
     def posterior_sample_from_stats(self, stats, rng: np.random.Generator):
         if self._atomic:
             probs = [math.exp(x) for x in self._atom_log_posts(stats)]
-            u = rng.random() * sum(probs)
-            acc = 0.0
-            for a, p in zip(self._atoms, probs):
-                acc += p
-                if u < acc:
-                    return a
-            return self._atoms[-1]
+            return self._atoms[sample_categorical(probs, rng)]
         mean, var = self._posterior_mean_var(stats)
         return float(rng.normal(mean, math.sqrt(var)))
 
@@ -262,12 +245,6 @@ class KnownVarGaussianModel:
             return top + math.log(sum(math.exp(v - top) for v in vals))
         mean, var = self._posterior_mean_var(stats)
         return _norm_logpdf(z, mean, var + self._obs_var)
-
-    def predictive_log_prob(self, z, observations) -> float:
-        stats = self.empty_stats()
-        for x in observations:
-            self.stats_add(stats, x)
-        return self.predictive_logp(stats, z)
 
     def predictive_grid(self, stats, grid: np.ndarray) -> np.ndarray:
         if self._atomic:
@@ -303,8 +280,8 @@ class TopicModel:
     """Multinomial word emission with symmetric Dirichlet base over topics.
 
     Collapsed computations (topics integrated out) are used everywhere; an
-    explicit topic vector is only materialized by `posterior_sample` for
-    reporting.
+    explicit topic vector is only materialized by
+    `posterior_sample_from_stats` for reporting.
     """
 
     def __init__(self, base: SymmetricDirichlet):
@@ -329,12 +306,6 @@ class TopicModel:
             return NEG_INF
         return math.log(p)
 
-    def posterior_sample(self, observations, rng: np.random.Generator):
-        stats = self.empty_stats()
-        for w in observations:
-            self.stats_add(stats, w)
-        return self.posterior_sample_from_stats(stats, rng)
-
     def posterior_sample_from_stats(self, stats, rng: np.random.Generator):
         return rng.dirichlet(stats[0] + self._alpha)
 
@@ -344,12 +315,6 @@ class TopicModel:
             math.log(counts[w] + self._alpha) - math.log(total + self.base.theta_v)
         )
 
-    def predictive_log_prob(self, w, observations) -> float:
-        stats = self.empty_stats()
-        for x in observations:
-            self.stats_add(stats, x)
-        return self.predictive_logp(stats, w)
-
     def base_log_density(self, y) -> float:
         a = self._alpha
         y = np.asarray(y, dtype=float)
@@ -358,8 +323,30 @@ class TopicModel:
         return float(gammaln(self.base.theta_v) - self.K * gammaln(a) + (a - 1.0) * np.log(y).sum())
 
 
+def stats_of(model, observations):
+    """Sufficient statistics of `observations` under `model`, added in order."""
+    stats = model.empty_stats()
+    for z in observations:
+        model.stats_add(stats, z)
+    return stats
+
+
+def _in_time_order(batches: list[ObservationBatch]) -> list[ObservationBatch]:
+    """Sort batches by time; the times must be distinct and consecutive."""
+    batches.sort(key=lambda b: b.time)
+    for prev, nxt in zip(batches, batches[1:]):
+        if nxt.time == prev.time:
+            raise DataError(f"duplicate time t={nxt.time}")
+        if nxt.time != prev.time + 1:
+            raise DataError(
+                f"times skip from t={prev.time} to t={nxt.time}; they must be consecutive"
+            )
+    return batches
+
+
 def read_observation_batches(path) -> list[ObservationBatch]:
-    """Read JSON-lines {"t": int, "values": [...]} into batches."""
+    """Read JSON-lines {"t": int, "values": [...]} into batches; values must
+    be finite."""
     import json
 
     out = []
@@ -369,9 +356,12 @@ def read_observation_batches(path) -> list[ObservationBatch]:
             if not line:
                 continue
             rec = json.loads(line)
-            out.append(ObservationBatch(time=int(rec["t"]), values=tuple(rec["values"])))
-    out.sort(key=lambda b: b.time)
-    return out
+            t = int(rec["t"])
+            values = tuple(rec["values"])
+            if not all(math.isfinite(z) for z in values):
+                raise DataError(f"non-finite value at t={t}")
+            out.append(ObservationBatch(time=t, values=values))
+    return _in_time_order(out)
 
 
 def read_corpus(path, vocab_path) -> tuple[list[ObservationBatch], list[str]]:
@@ -389,10 +379,10 @@ def read_corpus(path, vocab_path) -> tuple[list[ObservationBatch], list[str]]:
             if not line:
                 continue
             rec = json.loads(line)
+            t = int(rec["t"])
             words = tuple(int(w) for w in rec["words"])
             bad = [w for w in words if not 0 <= w < K]
             if bad:
-                raise ValueError(f"word ids {bad} outside vocabulary of size {K}")
-            out.append(ObservationBatch(time=int(rec["t"]), values=words))
-    out.sort(key=lambda b: b.time)
-    return out, vocab
+                raise DataError(f"word ids {bad} at t={t} outside vocabulary of size {K}")
+            out.append(ObservationBatch(time=t, values=words))
+    return _in_time_order(out), vocab

@@ -7,6 +7,7 @@ computable here exactly (small n, by enumeration) or in closed form.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -20,6 +21,8 @@ __all__ = [
     "enumerate_partitions",
     "esf_log_prob",
     "polya_urn_sample",
+    "sample_categorical",
+    "sample_log_categorical",
     "validate_allocation",
 ]
 
@@ -72,13 +75,6 @@ class CountsVector:
             sizes.extend([j] * c)
         return tuple(sorted(sizes, reverse=True))
 
-    def to_json(self) -> list[int]:
-        return list(self.counts)
-
-    @classmethod
-    def from_json(cls, data: Sequence[int]) -> "CountsVector":
-        return cls(tuple(int(x) for x in data))
-
 
 def validate_allocation(labels: Sequence[int]) -> None:
     """Check order-of-appearance labelling: c_1 = 1, each new label = max + 1."""
@@ -116,6 +112,33 @@ def esf_log_prob(a: CountsVector, theta: float) -> float:
     return float(out)
 
 
+def sample_categorical(weights: Sequence[float], rng: np.random.Generator) -> int:
+    """Index i with probability weights[i] / sum(weights), by inverse CDF.
+
+    Every categorical draw in the package goes through here: one uniform per
+    draw, scanned against the running sum with an early exit.  If rounding
+    leaves the uniform at or past the total, the last index is returned.
+    """
+    u = rng.random() * sum(weights)
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if u < acc:
+            return i
+    return len(weights) - 1
+
+
+def sample_log_categorical(log_scores: Sequence[float], rng: np.random.Generator) -> tuple[int, float]:
+    """`sample_categorical` on unnormalised log-scores (shifted by their max).
+
+    Returns the drawn index and its normalised probability.
+    """
+    top = max(log_scores)
+    weights = [math.exp(s - top) for s in log_scores]
+    i = sample_categorical(weights, rng)
+    return i, weights[i] / sum(weights)
+
+
 def polya_urn_sample(n: int, theta: float, rng: np.random.Generator) -> list[int]:
     """One draw of n seatings from the standard Polya urn (CRP).
 
@@ -128,21 +151,13 @@ def polya_urn_sample(n: int, theta: float, rng: np.random.Generator) -> list[int
     if theta <= 0:
         raise ValueError("theta must be positive")
     labels = [1]
-    sizes = [1]
-    for k in range(2, n + 1):
-        u = rng.random() * (k - 1 + theta)
-        acc = 0.0
-        chosen = 0
-        for i, m in enumerate(sizes, start=1):
-            acc += m
-            if u < acc:
-                chosen = i
-                break
-        if chosen:
-            sizes[chosen - 1] += 1
+    weights = [1, theta]  # box sizes, then the new-box weight
+    for _ in range(2, n + 1):
+        chosen = sample_categorical(weights, rng) + 1
+        if chosen == len(weights):
+            weights.insert(-1, 1)
         else:
-            sizes.append(1)
-            chosen = len(sizes)
+            weights[chosen - 1] += 1
         labels.append(chosen)
     return labels
 

@@ -22,19 +22,11 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .kernels import GaussianAR1, StaticKernel
-from .models import GaussianModel, KnownVarGaussianModel, ObservationBatch, normal_logpdf
-from .urn import (
-    ComposePolicy,
-    DeletionPolicy,
-    MixturePolicy,
-    UniformDeletion,
-    UrnState,
-    apply_policy,
-    policy_requires_ages,
-)
+from .models import GaussianModel, KnownVarGaussianModel, ObservationBatch, normal_logpdf, stats_of
+from .partitions import sample_log_categorical
+from .urn import UrnState, apply_policy, policy_window
 
 __all__ = [
-    "WalkUniform",
     "RhoWalk",
     "FilterConfig",
     "Particle",
@@ -55,12 +47,6 @@ _RHO_EPS = 1e-6
 
 
 @dataclass(frozen=True)
-class WalkUniform:
-    """Uniform deletion whose survival probability is the particle's current
-    random-walk value rather than a fixed constant."""
-
-
-@dataclass(frozen=True)
 class RhoWalk:
     """Beta random walk rho_t ~ B(a_rho, a_rho*(1-rho)/rho), which preserves
     the mean and has variance rho^2*(1-rho)/(a_rho+rho)."""
@@ -78,23 +64,6 @@ class RhoWalk:
         rho_prev = min(max(rho_prev, _RHO_EPS), 1.0 - _RHO_EPS)
         draw = rng.beta(self.a_rho, self.a_rho * (1.0 - rho_prev) / rho_prev)
         return min(max(draw, _RHO_EPS), 1.0 - _RHO_EPS)
-
-
-def resolve_policy(policy, rho: float | None) -> DeletionPolicy:
-    """Substitute the particle's walk value into WalkUniform placeholders."""
-    if isinstance(policy, WalkUniform):
-        if rho is None:
-            raise ValueError("policy uses the rho walk but none is configured")
-        return UniformDeletion(rho)
-    if isinstance(policy, MixturePolicy):
-        return MixturePolicy(
-            policy.alpha,
-            resolve_policy(policy.policy_a, rho),
-            resolve_policy(policy.policy_b, rho),
-        )
-    if isinstance(policy, ComposePolicy):
-        return ComposePolicy([resolve_policy(p, rho) for p in policy.policies])
-    return policy
 
 
 @dataclass(frozen=True)
@@ -161,7 +130,7 @@ def init_particles(config: FilterConfig, rng: np.random.Generator) -> ParticlePo
     """N particles with empty urns and equal weights; one spawned RNG stream
     per particle slot plus one for resampling."""
     streams = rng.spawn(config.n_particles + 1)
-    retain = policy_requires_ages(config.policy)
+    retain = policy_window(config.policy) > 0
     particles = [
         Particle(
             urn=UrnState.empty(config.theta, retain_ages=retain),
@@ -244,27 +213,15 @@ def _propose_batch(
         if conjugate:
             new_score += model.predictive_logp(model.empty_stats(), z)
         log_scores.append(new_score)
-        m = max(log_scores)
-        probs = [math.exp(s - m) for s in log_scores]
-        norm = sum(probs)
-        u = rng.random() * norm
-        acc = 0.0
-        pick = len(log_scores) - 1
-        for j, p in enumerate(probs):
-            acc += p
-            if u < acc:
-                pick = j
-                break
-        log_q = math.log(probs[pick] / norm)
+        pick, q = sample_log_categorical(log_scores, rng)
+        log_q = math.log(q)
         if pick == len(labels):
             lab = next_label
             next_label += 1
             labels.append(lab)
             masses.append(1.0)
             locs.append(None)
-            stats = model.empty_stats()
-            model.stats_add(stats, z)
-            newborn[lab] = stats
+            newborn[lab] = stats_of(model, [z])
             log_prior = math.log(theta) - math.log(total + theta)
         else:
             lab = labels[pick]
@@ -301,8 +258,7 @@ def advance(
         log_inc = 0.0
         if config.rho_walk is not None:
             particle.rho = config.rho_walk.sample(particle.rho, rng)
-        policy = resolve_policy(config.policy, particle.rho)
-        urn = apply_policy(particle.urn, policy, rng)
+        urn = apply_policy(particle.urn, config.policy, rng, particle.rho)
         survivors = set(urn.boxes)
         locations = {lab: particle.locations[lab] for lab in survivors}
         assignments, newborn, log_pq = _propose_batch(

@@ -15,6 +15,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .partitions import sample_categorical
+
 __all__ = [
     "UrnState",
     "UniformDeletion",
@@ -23,7 +25,9 @@ __all__ = [
     "ComposePolicy",
     "SlidingWindow",
     "DeletionPolicy",
-    "policy_requires_ages",
+    "policy_leaves",
+    "policy_window",
+    "policy_uses_walk",
     "delete_uniform",
     "delete_size_biased",
     "apply_policy",
@@ -35,12 +39,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class UniformDeletion:
-    """Each alive unit independently survives a step with probability rho."""
+    """Each alive unit independently survives a step with probability rho.
 
-    rho: float
+    rho=None stands for the random-walk survival probability of the SMC
+    filter: `apply_policy` then takes it from its `rho` argument.
+    """
+
+    rho: float | None
 
     def __post_init__(self):
-        if not 0.0 <= self.rho <= 1.0:
+        if self.rho is not None and not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [0, 1]")
 
 
@@ -95,14 +103,28 @@ DeletionPolicy = Union[
 ]
 
 
-def policy_requires_ages(policy: DeletionPolicy) -> bool:
-    if isinstance(policy, SlidingWindow):
-        return True
+def policy_leaves(policy: DeletionPolicy):
+    """Yield the uniform, size-biased and sliding-window policies a policy
+    tree is built from, depth first."""
     if isinstance(policy, MixturePolicy):
-        return policy_requires_ages(policy.policy_a) or policy_requires_ages(policy.policy_b)
-    if isinstance(policy, ComposePolicy):
-        return any(policy_requires_ages(p) for p in policy.policies)
-    return False
+        yield from policy_leaves(policy.policy_a)
+        yield from policy_leaves(policy.policy_b)
+    elif isinstance(policy, ComposePolicy):
+        for sub in policy.policies:
+            yield from policy_leaves(sub)
+    else:
+        yield policy
+
+
+def policy_window(policy: DeletionPolicy) -> int:
+    """Longest sliding window in the policy, 0 if it has none (then unit
+    ages never matter)."""
+    return max((p.r for p in policy_leaves(policy) if isinstance(p, SlidingWindow)), default=0)
+
+
+def policy_uses_walk(policy: DeletionPolicy) -> bool:
+    """Whether the policy deletes at the random-walk rho (UniformDeletion(None))."""
+    return any(isinstance(p, UniformDeletion) and p.rho is None for p in policy_leaves(policy))
 
 
 @dataclass
@@ -131,7 +153,7 @@ class UrnState:
 
     @classmethod
     def for_policy(cls, theta: float, policy: DeletionPolicy) -> "UrnState":
-        return cls.empty(theta, retain_ages=policy_requires_ages(policy))
+        return cls.empty(theta, retain_ages=policy_window(policy) > 0)
 
     @property
     def total_mass(self) -> int:
@@ -193,10 +215,7 @@ def delete_size_biased(state: UrnState, rng: np.random.Generator) -> UrnState:
     if not out.boxes:
         return out
     labels = list(out.boxes)
-    masses = np.fromiter((out.boxes[l] for l in labels), dtype=float, count=len(labels))
-    u = rng.random() * masses.sum()
-    chosen = labels[int(np.searchsorted(np.cumsum(masses), u, side="right"))]
-    out._drop_box(chosen)
+    out._drop_box(labels[sample_categorical(list(out.boxes.values()), rng)])
     return out
 
 
@@ -219,11 +238,19 @@ def _delete_window(state: UrnState, r: int) -> UrnState:
 
 
 def apply_policy(
-    state: UrnState, policy: DeletionPolicy, rng: np.random.Generator
+    state: UrnState,
+    policy: DeletionPolicy,
+    rng: np.random.Generator,
+    rho: float | None = None,
 ) -> UrnState:
-    """Run one deletion phase (the kill preceding the next batch)."""
+    """Run one deletion phase (the kill preceding the next batch); `rho` is
+    the survival probability of UniformDeletion(None) leaves."""
     if isinstance(policy, UniformDeletion):
-        return delete_uniform(state, policy.rho, rng)
+        if policy.rho is not None:
+            rho = policy.rho
+        elif rho is None:
+            raise ValueError("policy uses the rho walk but none is configured")
+        return delete_uniform(state, rho, rng)
     if isinstance(policy, SizeBiasedDeletion):
         out = state
         for _ in range(policy.count):
@@ -231,11 +258,11 @@ def apply_policy(
         return out
     if isinstance(policy, MixturePolicy):
         branch = policy.policy_a if rng.random() < policy.alpha else policy.policy_b
-        return apply_policy(state, branch, rng)
+        return apply_policy(state, branch, rng, rho)
     if isinstance(policy, ComposePolicy):
         out = state
         for sub in policy.policies:
-            out = apply_policy(out, sub, rng)
+            out = apply_policy(out, sub, rng, rho)
         return out
     if isinstance(policy, SlidingWindow):
         return _delete_window(state, policy.r)
@@ -255,28 +282,24 @@ def allocate_batch(
         raise ValueError("n must be >= 1")
     out = state.copy()
     t = out.time + 1
-    theta = out.theta
-    mass = out.total_mass
+    labels = list(out.boxes)
+    weights = [*out.boxes.values(), out.theta]  # box masses, then the new-box weight
     batch: list[int] = []
     for _ in range(n):
-        u = rng.random() * (mass + theta)
-        acc = 0.0
-        chosen = 0
-        for label, m in out.boxes.items():
-            acc += m
-            if u < acc:
-                chosen = label
-                break
-        if chosen:
+        pick = sample_categorical(weights, rng)
+        if pick < len(labels):
+            chosen = labels[pick]
             out.boxes[chosen] += 1
+            weights[pick] += 1
         else:
             chosen = out.next_label
             out.next_label += 1
             out.boxes[chosen] = 1
+            labels.append(chosen)
+            weights.insert(pick, 1)
         if out.births is not None:
             cells = out.births.setdefault(chosen, {})
             cells[t] = cells.get(t, 0) + 1
-        mass += 1
         batch.append(chosen)
     out.time = t
     return out, batch

@@ -176,6 +176,20 @@ def forward_alive_counts(c, d, T):
     return out
 
 
+def inline_categorical(probs, rng) -> int:
+    """Reference for `partitions.sample_categorical`: the inverse-CDF loop
+    the samplers carried inline before they shared it, kept verbatim."""
+    u = rng.random() * sum(probs)
+    acc = 0.0
+    pick = len(probs) - 1
+    for i, p in enumerate(probs):
+        acc += p
+        if u < acc:
+            pick = i
+            break
+    return pick
+
+
 def tv(p: dict, q: dict) -> float:
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)

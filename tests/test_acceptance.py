@@ -31,9 +31,9 @@ from tvdpm.kernels import (
     SymmetricDirichlet,
 )
 from tvdpm.mcmc import MCMCState, sweep
-from tvdpm.models import GaussianModel, KnownVarGaussianModel, ObservationBatch, TopicModel
+from tvdpm.models import GaussianModel, KnownVarGaussianModel, ObservationBatch, TopicModel, stats_of
 from tvdpm.partitions import counts_of, enumerate_partitions, esf_log_prob, polya_urn_sample
-from tvdpm.smc import FilterConfig, RhoWalk, WalkUniform, estimate_density, run_filter
+from tvdpm.smc import FilterConfig, RhoWalk, estimate_density, run_filter
 from tvdpm.urn import (
     ComposePolicy,
     MixturePolicy,
@@ -217,7 +217,7 @@ def _scaled_experiment(filter_seed, data_seed, with_density):
     fc = FilterConfig(
         n_particles=500,
         theta=3.0,
-        policy=MixturePolicy(0.98, WalkUniform(), SizeBiasedDeletion()),
+        policy=MixturePolicy(0.98, UniformDeletion(None), SizeBiasedDeletion()),
         proposal="conjugate",
         rho_walk=RhoWalk(a_rho=1000.0, rho0=0.9),
         grid=grid if with_density else None,
@@ -358,7 +358,7 @@ def test_criterion_10_topic_model_sanity():
     for w in range(K):
         n_w = sample_words.count(w)
         closed = (n_w + theta_v / K) / (len(sample_words) + theta_v)
-        assert math.exp(model.predictive_log_prob(w, sample_words)) == pytest.approx(
+        assert math.exp(model.predictive_logp(stats_of(model, sample_words), w)) == pytest.approx(
             closed, abs=1e-12
         )
 

@@ -6,7 +6,6 @@ import pytest
 
 from tvdpm.cli import main
 from tvdpm.config import ConfigError, build_policy, load_config, validate_config
-from tvdpm.smc import WalkUniform
 from tvdpm.urn import MixturePolicy, SlidingWindow, UniformDeletion
 
 GOOD_CONFIG = {
@@ -59,7 +58,7 @@ class TestConfig:
     def test_build_policy(self):
         pol = build_policy(GOOD_CONFIG["policy"])
         assert isinstance(pol, MixturePolicy)
-        assert isinstance(pol.policy_a, WalkUniform)
+        assert pol.policy_a == UniformDeletion(None)
         assert build_policy({"type": "sliding_window", "r": 3}) == SlidingWindow(3)
         assert build_policy({"type": "uniform", "rho": 0.4}) == UniformDeletion(0.4)
 
@@ -115,6 +114,14 @@ class TestCli:
              "--steps", "1", "--seed", "0"]
         )
         assert code == 2
+
+    def test_simulate_rho_walk_is_usage_error(self):
+        code, _, err = run_cli(
+            ["simulate", "--theta", "1.0", "--policy", '{"type":"uniform","rho":"walk"}',
+             "--n", "1", "--steps", "1", "--seed", "0"]
+        )
+        assert code == 2
+        assert "smc only" in err
 
     def test_unknown_subcommand_exits_2(self):
         proc = subprocess.run(
@@ -195,3 +202,58 @@ class TestCli:
         assert "OK" in out
         data = json.loads(report.read_text())
         assert data["passed"] is True
+
+
+def write_stream(tmp_path, records):
+    data = tmp_path / "data.jsonl"
+    data.write_text("".join(json.dumps(r) + "\n" for r in records))
+    cfg = json.loads(json.dumps(GOOD_CONFIG))
+    cfg["data"] = {"path": str(data)}
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return ["smc", "--config", str(cfg_path), "--out", str(tmp_path / "o.jsonl")]
+
+
+def write_corpus(tmp_path, records):
+    data = tmp_path / "corpus.jsonl"
+    vocab = tmp_path / "vocab.txt"
+    data.write_text("".join(json.dumps(r) + "\n" for r in records))
+    vocab.write_text("".join(f"w{i}\n" for i in range(4)))
+    cfg = {
+        "seed": 3,
+        "theta": 0.5,
+        "model": {"type": "topic", "theta_v": 0.5, "vocab_size": 4},
+        "policy": {"type": "uniform", "rho": 0.4},
+        "inference": {"method": "mcmc", "rho": 0.4, "sweeps": 1},
+        "data": {"path": str(data), "vocab_path": str(vocab)},
+    }
+    cfg_path = tmp_path / "m.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return ["mcmc", "--config", str(cfg_path), "--out", str(tmp_path / "o.jsonl")]
+
+
+class TestBadData:
+    """Bad observation data is a usage error (exit 2) naming what is wrong."""
+
+    def test_non_finite_value(self, tmp_path):
+        args = write_stream(tmp_path, [{"t": 1, "values": [0.1]}, {"t": 2, "values": [float("nan")]}])
+        code, _, err = run_cli(args)
+        assert code == 2
+        assert err.startswith("error: ") and "t=2" in err
+
+    @pytest.mark.parametrize("reader", [write_stream, write_corpus], ids=["stream", "corpus"])
+    @pytest.mark.parametrize(
+        "times,named", [((1, 1, 7), "t=1"), ((1, 2, 7), "t=7")], ids=["duplicate", "skipped"]
+    )
+    def test_times_distinct_and_consecutive(self, tmp_path, reader, times, named):
+        key = "values" if reader is write_stream else "words"
+        args = reader(tmp_path, [{"t": t, key: [1]} for t in times])
+        code, _, err = run_cli(args)
+        assert code == 2
+        assert err.startswith("error: ") and named in err
+
+    def test_word_ids_outside_vocabulary(self, tmp_path):
+        args = write_corpus(tmp_path, [{"t": 1, "words": [0, 3]}, {"t": 2, "words": [9, 4]}])
+        code, _, err = run_cli(args)
+        assert code == 2
+        assert err.startswith("error: ") and "[9, 4]" in err and "t=2" in err

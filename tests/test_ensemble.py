@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tvdpm.ensemble import UrnEnsemble, batch_partition_distribution, max_window
+from tvdpm.ensemble import UrnEnsemble, batch_partition_distribution
 from tvdpm.partitions import counts_of
 from tvdpm.urn import (
     ComposePolicy,
@@ -16,6 +16,7 @@ from tvdpm.urn import (
     SlidingWindow,
     UniformDeletion,
     UrnState,
+    policy_window,
     step,
 )
 
@@ -77,9 +78,15 @@ def test_partition_keys_sum_to_one(rng):
 
 
 def test_max_window():
-    assert max_window(UniformDeletion(0.5)) == 0
-    assert max_window(MixturePolicy(0.5, SlidingWindow(3), UniformDeletion(1.0))) == 3
-    assert max_window(ComposePolicy([SlidingWindow(2), SizeBiasedDeletion()])) == 2
+    assert policy_window(UniformDeletion(0.5)) == 0
+    assert policy_window(MixturePolicy(0.5, SlidingWindow(3), UniformDeletion(1.0))) == 3
+    assert policy_window(ComposePolicy([SlidingWindow(2), SizeBiasedDeletion()])) == 2
+
+
+def test_rho_walk_rejected():
+    # the walk value belongs to a filter particle; replicas have none
+    with pytest.raises(ValueError, match="smc only"):
+        UrnEnsemble(10, 1.0, MixturePolicy(0.5, UniformDeletion(None), SizeBiasedDeletion()))
 
 
 def test_predictive_mean_single_box(rng):

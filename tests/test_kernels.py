@@ -8,14 +8,10 @@ from tvdpm.kernels import (
     FiniteAtomic,
     GaussianAR1,
     GaussianKnownVar,
-    LocationTrack,
     NormalInverseGamma,
     StaticKernel,
     SymmetricDirichlet,
-    evolve_locations,
     sample_base,
-    track_records,
-    transition,
 )
 
 
@@ -59,7 +55,7 @@ class TestBaseMeasures:
 
 class TestTransitions:
     def test_static_identity(self, rng):
-        assert transition(StaticKernel(), 3.7, rng) == 3.7
+        assert StaticKernel().transition(3.7, rng) == 3.7
 
     def test_phi_zero_regenerates(self, rng):
         kernel = GaussianAR1(0.0, GaussianKnownVar(0.0, 1.0))
@@ -88,47 +84,3 @@ class TestTransitions:
     def test_phi_validated(self):
         with pytest.raises(ValueError):
             GaussianAR1(1.5, GaussianKnownVar(0.0, 1.0))
-
-
-class TestEvolveLocations:
-    def test_newborn_track(self, rng):
-        base = GaussianKnownVar(0.0, 1.0)
-        tracks = evolve_locations({}, StaticKernel(), base, [4], 7, rng)
-        assert set(tracks) == {4}
-        assert tracks[4].birth_time == 7 and len(tracks[4].values) == 1
-
-    def test_static_tracks_constant(self, rng):
-        base = GaussianKnownVar(0.0, 1.0)
-        tracks = evolve_locations({}, StaticKernel(), base, [1], 1, rng)
-        for t in range(2, 6):
-            tracks = evolve_locations(tracks, StaticKernel(), base, [], t, rng)
-        assert len(set(tracks[1].values)) == 1 and len(tracks[1].values) == 5
-
-    def test_duplicate_newborn_rejected(self, rng):
-        base = GaussianKnownVar(0.0, 1.0)
-        tracks = evolve_locations({}, StaticKernel(), base, [1], 1, rng)
-        with pytest.raises(ValueError):
-            evolve_locations(tracks, StaticKernel(), base, [1], 2, rng)
-
-    def test_pooled_marginal_stays_at_base(self, rng):
-        # property (B): alive locations at a fixed time are i.i.d. base draws
-        base = GaussianKnownVar(0.0, 1.0)
-        kernel = GaussianAR1(0.9, base)
-        pooled = []
-        for _ in range(4_000):
-            tracks = evolve_locations({}, kernel, base, [1], 1, rng)
-            for t in range(2, 31):
-                tracks = evolve_locations(tracks, kernel, base, [], t, rng)
-            pooled.append(tracks[1].values[-1])
-        assert sps.kstest(np.array(pooled), sps.norm.cdf).pvalue > 0.01
-
-    def test_value_at(self):
-        tr = LocationTrack(1, 3, [10.0, 11.0, 12.0])
-        assert tr.value_at(4) == 11.0 and tr.last == 12.0
-
-    def test_track_records(self):
-        tracks = {2: LocationTrack(2, 1, [0.5, 0.6]), 1: LocationTrack(1, 3, [(1.0, 2.0)])}
-        recs = list(track_records(tracks))
-        assert recs[0] == {"label": 1, "t": 3, "value": [1.0, 2.0]}
-        assert recs[1] == {"label": 2, "t": 1, "value": [0.5]}
-        assert recs[2] == {"label": 2, "t": 2, "value": [0.6]}

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats as sps
 
 from tvdpm.kernels import FiniteAtomic, GaussianAR1, GaussianKnownVar
-from tvdpm.models import KnownVarGaussianModel
+from tvdpm.models import KnownVarGaussianModel, stats_of
 from tvdpm.mcmc import (
     MCMCState,
     gibbs_death_time,
@@ -111,13 +111,14 @@ class TestAllocationMove:
                     scores = [
                         masses[c]
                         * math.exp(
-                            model.predictive_log_prob(
-                                obs[i], [obs[j] for j in range(n) if j != i and labels[j] == c]
+                            model.predictive_logp(
+                                stats_of(model, [obs[j] for j in range(n) if j != i and labels[j] == c]),
+                                obs[i],
                             )
                         )
                         for c in cands
                     ]
-                    scores.append(theta * math.exp(model.predictive_log_prob(obs[i], [])))
+                    scores.append(theta * math.exp(model.predictive_logp(stats_of(model, []), obs[i])))
                     u = rng.random() * sum(scores)
                     acc = 0.0
                     pick = len(scores) - 1

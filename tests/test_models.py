@@ -10,9 +10,11 @@ from tvdpm.models import (
     GaussianModel,
     KnownVarGaussianModel,
     ObservationBatch,
+    DataError,
     TopicModel,
     read_corpus,
     read_observation_batches,
+    stats_of,
 )
 
 from .oracles import dirichlet_predictive_k2, nig_posterior_mean_of_mean, nig_prior_predictive
@@ -52,7 +54,8 @@ class TestGaussianPosterior:
         model = GaussianModel(NIG)
         mu_n, kappa_n, _, _ = model._posterior_params([1, 1.0, 1.0])
         assert mu_n == pytest.approx((0.1 * 0.0 + 1.0) / 1.1)
-        draws = np.array([model.posterior_sample([1.0], rng)[0] for _ in range(100_000)])
+        stats = stats_of(model, [1.0])
+        draws = np.array([model.posterior_sample_from_stats(stats, rng)[0] for _ in range(100_000)])
         se = draws.std() / math.sqrt(len(draws))
         assert abs(draws.mean() - mu_n) < 3 * se
 
@@ -64,7 +67,8 @@ class TestGaussianPosterior:
 
     def test_strong_prior_pins_mean(self, rng):
         model = GaussianModel(NormalInverseGamma(2.0, 1e12, 4.0, 1.0))
-        draws = np.array([model.posterior_sample([-5.0], rng)[0] for _ in range(2_000)])
+        stats = stats_of(model, [-5.0])
+        draws = np.array([model.posterior_sample_from_stats(stats, rng)[0] for _ in range(2_000)])
         assert abs(draws.mean() - 2.0) < 1e-4
 
 
@@ -73,7 +77,7 @@ class TestGaussianPredictive:
         model = GaussianModel(NIG)
         for z in (-2.0, -0.5, 0.0, 1.0, 3.0):
             oracle = nig_prior_predictive(z, 0.0, 0.1, 2.0, 1.0)
-            assert math.exp(model.predictive_log_prob(z, [])) == pytest.approx(
+            assert math.exp(model.predictive_logp(stats_of(model, []), z)) == pytest.approx(
                 oracle, abs=1e-6
             )
 
@@ -81,9 +85,7 @@ class TestGaussianPredictive:
         model = GaussianModel(NIG)
         cluster = [0.4, 1.1, 0.7]
         z = 0.9
-        stats = model.empty_stats()
-        for x in cluster:
-            model.stats_add(stats, x)
+        stats = stats_of(model, cluster)
         n_draws = 1_000_000
         total = 0.0
         for _ in range(n_draws):
@@ -94,8 +96,8 @@ class TestGaussianPredictive:
 
     def test_exchangeability(self):
         model = GaussianModel(NIG)
-        a = model.predictive_log_prob(0.3, [1.0, -2.0, 0.5])
-        b = model.predictive_log_prob(0.3, [0.5, 1.0, -2.0])
+        a = model.predictive_logp(stats_of(model, [1.0, -2.0, 0.5]), 0.3)
+        b = model.predictive_logp(stats_of(model, [0.5, 1.0, -2.0]), 0.3)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_predictive_grid_matches_scalar(self):
@@ -103,7 +105,7 @@ class TestGaussianPredictive:
         grid = np.array([-1.0, 0.0, 2.0])
         vals = model.predictive_grid(model.empty_stats(), grid)
         for g, v in zip(grid, vals):
-            assert v == pytest.approx(math.exp(model.predictive_log_prob(g, [])))
+            assert v == pytest.approx(math.exp(model.predictive_logp(stats_of(model, []), g)))
 
 
 class TestTopicModel:
@@ -122,7 +124,7 @@ class TestTopicModel:
 
     def test_empty_predictive_uniform(self):
         model = self.make()
-        assert model.predictive_log_prob(3, []) == pytest.approx(math.log(0.25))
+        assert model.predictive_logp(stats_of(model, []), 3) == pytest.approx(math.log(0.25))
 
     def test_counts_formula(self):
         model = self.make(theta_v=0.5, K=4)
@@ -130,27 +132,25 @@ class TestTopicModel:
         for w in range(4):
             n_w = obs.count(w)
             expected = (n_w + 0.5 / 4) / (len(obs) + 0.5)
-            assert math.exp(model.predictive_log_prob(w, obs)) == pytest.approx(expected)
+            assert math.exp(model.predictive_logp(stats_of(model, obs), w)) == pytest.approx(expected)
 
     def test_matches_simplex_quadrature_k2(self):
         model = TopicModel(SymmetricDirichlet(0.7, 2))
         obs = [0, 1, 0, 0]
         for w in (0, 1):
             oracle = dirichlet_predictive_k2(w, (3, 1), 0.7)
-            assert math.exp(model.predictive_log_prob(w, obs)) == pytest.approx(oracle, abs=1e-9)
+            assert math.exp(model.predictive_logp(stats_of(model, obs), w)) == pytest.approx(oracle, abs=1e-9)
 
     def test_predictive_normalizes(self):
         model = self.make(theta_v=1.3, K=7)
         obs = [0, 0, 3, 5]
-        total = sum(math.exp(model.predictive_log_prob(w, obs)) for w in range(7))
+        total = sum(math.exp(model.predictive_logp(stats_of(model, obs), w)) for w in range(7))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_consistency_with_posterior_sampling(self, rng):
         model = self.make(theta_v=0.5, K=4)
         obs = [0, 1, 1, 3]
-        stats = model.empty_stats()
-        for w in obs:
-            model.stats_add(stats, w)
+        stats = stats_of(model, obs)
         n_draws = 1_000_000
         draws = rng.dirichlet(stats[0] + model._alpha, size=n_draws)
         mc = draws[:, 2].mean()
@@ -160,14 +160,15 @@ class TestTopicModel:
     @given(obs=st.lists(st.integers(0, 3), max_size=10), w=st.integers(0, 3))
     def test_predictive_positive(self, obs, w):
         model = self.make()
-        assert math.exp(model.predictive_log_prob(w, obs)) > 0
+        assert math.exp(model.predictive_logp(stats_of(model, obs), w)) > 0
 
 
 class TestKnownVarGaussian:
     def test_gaussian_base_posterior(self, rng):
         # kappa0 = obs_var / sigma0^2 = 1 -> posterior mean z/2
         model = KnownVarGaussianModel(GaussianKnownVar(0.0, 1.0), 1.0)
-        draws = np.array([model.posterior_sample([3.0], rng) for _ in range(100_000)])
+        stats = stats_of(model, [3.0])
+        draws = np.array([model.posterior_sample_from_stats(stats, rng) for _ in range(100_000)])
         se = draws.std() / math.sqrt(len(draws))
         assert abs(draws.mean() - 1.5) < 3 * se
         assert draws.var() == pytest.approx(0.5, rel=0.05)
@@ -182,11 +183,12 @@ class TestKnownVarGaussian:
 
         post0 = phi(z0, 0.0) / (phi(z0, 0.0) + phi(z0, 2.0))
         expected = post0 * phi(0.5, 0.0) + (1 - post0) * phi(0.5, 2.0)
-        assert math.exp(model.predictive_log_prob(0.5, [z0])) == pytest.approx(expected)
+        assert math.exp(model.predictive_logp(stats_of(model, [z0]), 0.5)) == pytest.approx(expected)
 
     def test_atomic_posterior_sampling(self, rng):
         model = KnownVarGaussianModel(FiniteAtomic((0.0, 2.0)), 1.0)
-        draws = [model.posterior_sample([1.9], rng) for _ in range(20_000)]
+        stats = stats_of(model, [1.9])
+        draws = [model.posterior_sample_from_stats(stats, rng) for _ in range(20_000)]
 
         def phi(z, m):
             return math.exp(-0.5 * (z - m) ** 2) / math.sqrt(2 * math.pi)
@@ -234,5 +236,5 @@ class TestReaders:
         vocab = tmp_path / "vocab.txt"
         data.write_text('{"t": 1, "words": [5]}\n')
         vocab.write_text("a\nb\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match=r"\[5\]"):
             read_corpus(data, vocab)

@@ -11,10 +11,12 @@ from tvdpm.partitions import (
     enumerate_partitions,
     esf_log_prob,
     polya_urn_sample,
+    sample_categorical,
+    sample_log_categorical,
     validate_allocation,
 )
 
-from .oracles import crp_partition_law, tv
+from .oracles import crp_partition_law, inline_categorical, tv
 
 
 def empirical_partition_law(samples):
@@ -34,10 +36,6 @@ class TestCountsVector:
     def test_invalid_sum(self):
         with pytest.raises(ValueError):
             CountsVector((2, 1, 0))
-
-    def test_json_roundtrip(self):
-        cv = CountsVector((0, 0, 1))
-        assert CountsVector.from_json(cv.to_json()) == cv
 
     def test_from_box_sizes(self):
         assert CountsVector.from_box_sizes([3, 1, 1]).counts == (2, 0, 1, 0, 0)
@@ -158,3 +156,27 @@ class TestValidateAllocation:
     def test_bad(self):
         with pytest.raises(ValueError):
             validate_allocation([1, 3])
+
+
+class TestCategorical:
+    def test_matches_inline_loop(self):
+        gen = np.random.default_rng(31)
+        cases = [[1.0], [0.0], [0.0, 0.0], [0.0, 2.0, 0.0, 1.5], [3, 1, 0, 2.5]]
+        for _ in range(300):
+            size = int(gen.integers(1, 12))
+            w = gen.exponential(size=size) * (gen.random(size) < 0.7)
+            cases.append([float(x) for x in w])
+        a, b = np.random.default_rng(7), np.random.default_rng(7)
+        for weights in cases:
+            for _ in range(10):
+                assert sample_categorical(weights, a) == inline_categorical(weights, b)
+                assert a.bit_generator.state == b.bit_generator.state
+
+    def test_log_scores_shift_by_max(self):
+        scores = [-1e3, 2.0, math.log(3.0) + 2.0, -math.inf, 1.5]
+        probs = [math.exp(s - max(scores)) for s in scores]
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(200):
+            i, q = sample_log_categorical(scores, a)
+            assert i == inline_categorical(probs, b)
+            assert q == probs[i] / sum(probs)

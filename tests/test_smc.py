@@ -12,7 +12,6 @@ from tvdpm.smc import (
     Particle,
     ParticlePopulation,
     RhoWalk,
-    WalkUniform,
     advance,
     ess,
     estimate_alive_mass,
@@ -20,11 +19,10 @@ from tvdpm.smc import (
     estimate_rho,
     init_particles,
     resample,
-    resolve_policy,
     run_filter,
     systematic_indices,
 )
-from tvdpm.urn import MixturePolicy, SizeBiasedDeletion, UniformDeletion, UrnState
+from tvdpm.urn import MixturePolicy, SizeBiasedDeletion, UniformDeletion, UrnState, apply_policy
 
 NIG = NormalInverseGamma(0.0, 0.1, 2.0, 1.0)
 
@@ -134,12 +132,15 @@ class TestRhoWalk:
         assert abs(sample_var - target) < 3 * se_var
 
     def test_resolve_policy_substitutes(self):
-        pol = MixturePolicy(0.98, WalkUniform(), SizeBiasedDeletion())
-        resolved = resolve_policy(pol, 0.6)
-        assert isinstance(resolved.policy_a, UniformDeletion)
-        assert resolved.policy_a.rho == 0.6
+        # the walk value passed at apply time acts as the leaf's fixed rho
+        pol = MixturePolicy(0.98, UniformDeletion(None), SizeBiasedDeletion())
+        fixed = MixturePolicy(0.98, UniformDeletion(0.6), SizeBiasedDeletion())
+        state = UrnState(theta=1.0, boxes={1: 30, 2: 20, 3: 10}, next_label=4)
+        walked = apply_policy(state, pol, np.random.default_rng(5), 0.6)
+        assert walked.boxes == apply_policy(state, fixed, np.random.default_rng(5)).boxes
+        assert walked.boxes != apply_policy(state, pol, np.random.default_rng(5), 0.9).boxes
         with pytest.raises(ValueError):
-            resolve_policy(WalkUniform(), None)
+            apply_policy(state, UniformDeletion(None), np.random.default_rng(5))
 
 
 class TestAdvance:
@@ -316,7 +317,7 @@ class TestDeterminism:
         cfg = FilterConfig(
             n_particles=40,
             theta=1.0,
-            policy=MixturePolicy(0.98, WalkUniform(), SizeBiasedDeletion()),
+            policy=MixturePolicy(0.98, UniformDeletion(None), SizeBiasedDeletion()),
             rho_walk=RhoWalk(1000.0, 0.9),
             grid=np.linspace(-5, 5, 50),
         )

@@ -18,7 +18,7 @@ from tvdpm.urn import (
     apply_policy,
     delete_size_biased,
     delete_uniform,
-    policy_requires_ages,
+    policy_window,
     run_trajectory,
     step,
 )
@@ -131,8 +131,8 @@ class TestApplyPolicy:
     def test_experiment_policy_constructible(self):
         pol = MixturePolicy(0.98, UniformDeletion(0.7), SizeBiasedDeletion())
         assert pol.alpha == 0.98
-        assert not policy_requires_ages(pol)
-        assert policy_requires_ages(MixturePolicy(0.5, SlidingWindow(2), UniformDeletion(1.0)))
+        assert policy_window(pol) == 0
+        assert policy_window(MixturePolicy(0.5, SlidingWindow(2), UniformDeletion(1.0))) > 0
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
