@@ -73,6 +73,11 @@ class MCMCState:
     """Mutable sampler state: tables, alive-count caches, per-box unit sets
     and sufficient statistics, and (in explicit modes) locations.
 
+    The alive-count caches are kept up to date in place: `m_post[v-1]` maps
+    label -> units alive after the batch at v, `pre[v-1]` label -> units
+    alive before it (born earlier, surviving the deletion at v), and
+    `pre_total[v-1]` is the sum of `pre[v-1]`.
+
     mode is one of "collapsed" (locations integrated out; static kernel +
     conjugate model), "static" (one explicit shared location per box), or
     "ar1" (a location per box and alive time, moved by a GaussianAR1
@@ -117,6 +122,8 @@ class MCMCState:
         self.d: list[list[int]] = [[T + 1] * n for _ in range(T)]
         self.next_label = 1
         self.m_post: list[dict[int, int]] = [dict() for _ in range(T)]
+        self.pre: list[dict[int, int]] = [dict() for _ in range(T)]
+        self.pre_total: list[int] = [0] * T
         self.blocks: dict[int, set] = {}
         self.founder: dict[int, tuple[int, int]] = {}
         self.stats: dict[int, object] = {}
@@ -207,8 +214,8 @@ class MCMCState:
         self.c = c
         self.d = d
         self.next_label = next_label
-        after_batch, _ = reconstruct_counts(c, d)
-        self.m_post = [dict(m) for m in after_batch]
+        self.m_post, self.pre = reconstruct_counts(c, d)
+        self.pre_total = [sum(m.values()) for m in self.pre]
         self.blocks = defaultdict(set)
         for ti, row in enumerate(c):
             for k, lab in enumerate(row):
@@ -243,18 +250,6 @@ class MCMCState:
     def block_max_death(self, label: int) -> int:
         return max(min(self.d[t - 1][k], self.T) for (t, k) in self.blocks[label])
 
-    def _pre_masses(self, v: int) -> dict[int, int]:
-        """Alive masses the batch at time v is drawn against (units born
-        before v that survive through v), label -> count."""
-        out = dict(self.m_post[v - 1])
-        for lab in self.c[v - 1]:
-            m = out[lab] - 1
-            if m:
-                out[lab] = m
-            else:
-                del out[lab]
-        return out
-
     def _stats_of(self, units):
         return stats_of(self.model, (self.obs[t - 1][k] for (t, k) in units))
 
@@ -266,10 +261,12 @@ class MCMCState:
     def check_caches(self):
         """Debug invariant: incremental caches match a from-scratch rebuild
         and every box's alive interval is contiguous."""
-        after_batch, _ = reconstruct_counts(self.c, self.d)
+        after_batch, after_deletion = reconstruct_counts(self.c, self.d)
         for u in range(self.T):
-            if dict(self.m_post[u]) != after_batch[u]:
+            if self.m_post[u] != after_batch[u]:
                 raise AssertionError(f"alive-count cache diverged at time {u + 1}")
+            if self.pre[u] != after_deletion[u] or self.pre_total[u] != sum(after_deletion[u].values()):
+                raise AssertionError(f"pre-batch cache diverged at time {u + 1}")
         for lab, units in self.blocks.items():
             alive = [u + 1 for u in range(self.T) if self.m_post[u].get(lab, 0) > 0]
             if alive != list(range(alive[0], alive[-1] + 1)):
@@ -352,6 +349,23 @@ def _move_loglik(state: MCMCState, label, z, t):
     return state.model.log_likelihood(z, state.locs[label][t])
 
 
+def _shift(state: MCMCState, label: int, lo: int, hi: int, step: int, t: int):
+    """Add `step` units of `label`, born at time t, to the alive counts of
+    times lo..hi: the post-batch counts at each time, the pre-batch counts
+    and their totals at the times after t."""
+    for u in range(lo, hi + 1):
+        maps = [state.m_post[u - 1]]
+        if u > t:
+            maps.append(state.pre[u - 1])
+            state.pre_total[u - 1] += step
+        for counts in maps:
+            m = counts.get(label, 0) + step
+            if m:
+                counts[label] = m
+            else:
+                del counts[label]
+
+
 # -- the allocation move --------------------------------------------------------
 
 
@@ -359,56 +373,47 @@ def gibbs_allocation(state: MCMCState, k: int, t: int, rng: np.random.Generator)
     """Resample c_{k,t} from its full conditional.
 
     Candidates are the boxes alive at the unit's draw position (excluding
-    the unit itself) plus a fresh box.  A candidate's prior weight is its
-    mass at the draw position times, for every later draw inside the unit's
-    lifetime that joined that box, the ratio (m+1)/m of the urn numerators
-    with and without this unit; a later join that would see an empty box
-    pins the unit where it is.
+    the unit itself), in the order of the post-batch counts, plus a fresh
+    box.  Candidate b starts from its mass at the draw position.  Every
+    later stretch of draws inside the unit's lifetime that joined b (the
+    rest of batch t, then each batch v up to the death time) adds one term:
+    with m_{b,v} the mass b had before that stretch without this unit and
+    c_{b,v} the draws it got, the urn numerators (m+1)...(m+c) against
+    m...(m+c-1) give log(m_{b,v} + c_{b,v}) - log(m_{b,v}).  If box a, the
+    unit's own, would be empty before one of its later draws (m_{a,v} = 0
+    < c_{a,v}), the unit is pinned where it is.
     """
     a = state.c[t - 1][k]
     dd = min(state.d[t - 1][k], state.T)
     z = state.obs[t - 1][k] if state.obs is not None else None
+    row = state.c[t - 1]
 
-    cur = state._pre_masses(t)
-    for k2 in range(k):
-        b = state.c[t - 1][k2]
-        cur[b] = cur.get(b, 0) + 1
-    entry = dict(cur)
+    pre = state.pre[t - 1]
+    entry = {b: pre[b] for b in state.m_post[t - 1] if b in pre}
+    for b in row[:k]:
+        entry[b] = entry.get(b, 0) + 1
+    adj = dict.fromkeys(entry, 0.0)
+    adj.setdefault(a, 0.0)
 
-    adj: dict[int, float] = defaultdict(float)
-    forced = False
-    # later draws of the same batch, then whole batches up to the death time
-    scan = [(t, k2) for k2 in range(k + 1, state.n)] + [
-        (v, k2) for v in range(t + 1, dd + 1) for k2 in range(state.n)
-    ]
-    v_cur = t
-    for (v, k2) in scan:
-        if v != v_cur:
-            cur = state._pre_masses(v)
-            m_a = cur.get(a, 0) - 1
-            if m_a:
-                cur[a] = m_a
-            else:
-                cur.pop(a, None)
-            v_cur = v
-        b = state.c[v - 1][k2]
-        m = cur.get(b, 0)
-        if m == 0:
-            if b == a and state.founder[b] != (v, k2):
-                forced = True
-                break
-            # otherwise this draw founded a later box: weight theta either way
-        elif b == a or b in entry:
-            adj[b] += math.log(m + 1) - math.log(m)
-        cur[b] = m + 1
-    if forced:
-        return
+    # the rest of batch t, then whole batches up to the death time
+    rest = row[k + 1:]
+    for b in adj:
+        m, drawn = entry.get(b, 0), rest.count(b)
+        for v in range(t, dd + 1):
+            if v > t:
+                m = state.pre[v - 1].get(b, 0)
+                drawn = state.m_post[v - 1].get(b, 0) - m
+                m -= b == a
+            if drawn:
+                if not m:
+                    return
+                adj[b] += math.log(m + drawn) - math.log(m)
 
     if state.model is not None and state.obs is not None and state.mode == "collapsed":
         state.model.stats_remove(state.stats[a], z)
 
-    labels = [b for b, m in entry.items() if m > 0]
-    scores = [math.log(entry[b]) + adj.get(b, 0.0) + _move_loglik(state, b, z, t) for b in labels]
+    labels = list(entry)
+    scores = [math.log(entry[b]) + adj[b] + _move_loglik(state, b, z, t) for b in labels]
     scores.append(math.log(state.theta) + _move_loglik(state, None, z, t))
     pick, _ = sample_log_categorical(scores, rng)
     target = labels[pick] if pick < len(labels) else None
@@ -429,12 +434,7 @@ def gibbs_allocation(state: MCMCState, k: int, t: int, rng: np.random.Generator)
 
 def _detach_unit(state: MCMCState, a: int, k: int, t: int, dd: int, z):
     state.blocks[a].discard((t, k))
-    for u in range(t, dd + 1):
-        m = state.m_post[u - 1][a] - 1
-        if m:
-            state.m_post[u - 1][a] = m
-        else:
-            del state.m_post[u - 1][a]
+    _shift(state, a, t, dd, -1, t)
     if not state.blocks[a]:
         del state.blocks[a]
         state.founder.pop(a, None)
@@ -456,8 +456,7 @@ def _attach_unit(state: MCMCState, b: int, k: int, t: int, dd: int, z, rng):
     if state.mode == "ar1":
         old_hi = state.block_max_death(b)
     state.blocks[b].add((t, k))
-    for u in range(t, dd + 1):
-        state.m_post[u - 1][b] = state.m_post[u - 1].get(b, 0) + 1
+    _shift(state, b, t, dd, 1, t)
     if state.model is not None and state.obs is not None:
         state.model.stats_add(state.stats[b], z)
     if state.mode == "ar1" and dd > old_hi:
@@ -469,8 +468,7 @@ def _attach_unit(state: MCMCState, b: int, k: int, t: int, dd: int, z, rng):
 def _attach_new_box(state: MCMCState, b: int, k: int, t: int, dd: int, z, rng):
     state.blocks[b] = {(t, k)}
     state.founder[b] = (t, k)
-    for u in range(t, dd + 1):
-        state.m_post[u - 1][b] = 1
+    _shift(state, b, t, dd, 1, t)
     if state.model is not None and state.obs is not None:
         state.stats[b] = stats_of(state.model, [z])
     if state.mode == "static":
@@ -506,74 +504,51 @@ def _lifetime_log_prior(rho: float, t: int, u: int, T: int) -> float:
 def gibbs_death_time(state: MCMCState, k: int, t: int, rng: np.random.Generator):
     """Resample d_{k,t} from its full conditional.
 
-    The truncated-geometric prior is reweighted, for every batch in the
-    affected window, by the urn probabilities of that batch's draws with
-    and without this unit alive (numerators of its own box, denominators of
-    everyone).  Candidates that would strand a later unit of the box score
-    zero.
+    The truncated-geometric prior is reweighted by the urn probabilities of
+    the later batches, and only the batches v the unit lives through differ
+    between candidates.  With M_v the pre-batch total and m_{a,v} the
+    pre-batch mass of the unit's box a, both without the unit, and c_{a,v}
+    the draws a gets in batch v, the unit alive at v changes the batch's
+    probability by
+
+        Delta[v] = log(M_v + theta) - log(M_v + n + theta)
+                   + log(m_{a,v} + c_{a,v}) - log(m_{a,v})   (if c_{a,v} > 0)
+
+    (the n denominators and a's c numerators telescope), so candidate u
+    scores prior(u) + sum of Delta[v] over t < v <= min(u, T).  A batch v
+    with m_{a,v} = 0 < c_{a,v} would see box a empty before its own draws:
+    the unit is stranded there unless alive, so candidates below v score
+    -inf.
     """
     a = state.c[t - 1][k]
     d_old = state.d[t - 1][k]
-    T = state.T
-    rho = state.rho
+    T, n, theta, rho = state.T, state.n, state.theta, state.rho
 
-    # per-batch weight sums with the unit alive (A) and dead (B)
-    A = {}
-    B = {}
     alive_last = min(d_old, T)
+    scores = [_lifetime_log_prior(rho, t, t, T)]
+    gain = 0.0
     for v in range(t + 1, T + 1):
-        cur = state._pre_masses(v)
-        if v <= alive_last:
-            m_a = cur.get(a, 0) - 1
-            if m_a:
-                cur[a] = m_a
+        own = v <= alive_last  # the caches count the unit at v
+        total = state.pre_total[v - 1] - own
+        m = state.pre[v - 1].get(a, 0)
+        drawn = state.m_post[v - 1].get(a, 0) - m
+        m -= own
+        gain += math.log(total + theta) - math.log(total + n + theta)
+        if drawn:
+            if m:
+                gain += math.log(m + drawn) - math.log(m)
             else:
-                cur.pop(a, None)
-        total = sum(cur.values())
-        av = bv = 0.0
-        for k2 in range(state.n):
-            b = state.c[v - 1][k2]
-            m = cur.get(b, 0)
-            if state.founder[b] == (v, k2):
-                num_with = num_without = math.log(state.theta)
-            else:
-                num_with = math.log(m + (1 if b == a else 0))
-                num_without = math.log(m) if m > 0 else NEG_INF
-            av += num_with - math.log(total + 1 + state.theta)
-            bv += (num_without - math.log(total + state.theta)) if num_without > NEG_INF else NEG_INF
-            cur[b] = m + 1
-            total += 1
-        A[v] = av
-        B[v] = bv
-
-    # suffix sums of B and prefix sums of A
-    candidates = list(range(t, T + 2))
-    scores = []
-    b_suffix = {T + 1: 0.0}
-    for v in range(T, t, -1):
-        b_suffix[v] = b_suffix[v + 1] + B[v]
-    acc_a = 0.0
-    for u in candidates:
-        if t < u <= T:
-            acc_a += A[u]
-        prior = _lifetime_log_prior(rho, t, u, T)
-        scores.append(prior + acc_a + b_suffix.get(min(u, T) + 1, 0.0))
+                scores = [NEG_INF] * len(scores)
+        scores.append(_lifetime_log_prior(rho, t, v, T) + gain)
+    scores.append(_lifetime_log_prior(rho, t, T + 1, T) + gain)
     if max(scores) == NEG_INF:
         return
-    d_new = candidates[sample_log_categorical(scores, rng)[0]]
+    d_new = t + sample_log_categorical(scores, rng)[0]
     if d_new == d_old:
         return
     lo, hi = min(d_old, T), min(d_new, T)
-    if hi > lo:
-        for u in range(lo + 1, hi + 1):
-            state.m_post[u - 1][a] = state.m_post[u - 1].get(a, 0) + 1
-    elif hi < lo:
-        for u in range(hi + 1, lo + 1):
-            m = state.m_post[u - 1][a] - 1
-            if m:
-                state.m_post[u - 1][a] = m
-            else:
-                del state.m_post[u - 1][a]
+    if hi != lo:
+        _shift(state, a, min(lo, hi) + 1, max(lo, hi), 1 if hi > lo else -1, t)
     state.d[t - 1][k] = d_new
     if state.mode == "ar1" and hi != lo:
         traj = state.locs[a]
@@ -670,13 +645,8 @@ def relabel(state: MCMCState, label: int, from_time: int):
         state.blocks[fresh].add((t, k))
         state.c[t - 1][k] = fresh
         dd = min(state.d[t - 1][k], state.T)
-        for u in range(t, dd + 1):
-            m = state.m_post[u - 1][label] - 1
-            if m:
-                state.m_post[u - 1][label] = m
-            else:
-                del state.m_post[u - 1][label]
-            state.m_post[u - 1][fresh] = state.m_post[u - 1].get(fresh, 0) + 1
+        _shift(state, label, t, dd, -1, t)
+        _shift(state, fresh, t, dd, 1, t)
     state.founder[fresh] = min(state.blocks[fresh])
     if not state.blocks[label]:
         del state.blocks[label]

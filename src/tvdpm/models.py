@@ -56,7 +56,7 @@ class ObservationBatch:
 
     def __post_init__(self):
         if len(self.values) < 1:
-            raise ValueError("a batch needs at least one observation")
+            raise DataError(f"empty batch at t={self.time}: a batch needs at least one observation")
 
     @property
     def n(self) -> int:
@@ -332,7 +332,10 @@ def stats_of(model, observations):
 
 
 def _in_time_order(batches: list[ObservationBatch]) -> list[ObservationBatch]:
-    """Sort batches by time; the times must be distinct and consecutive."""
+    """Sort batches by time; there must be some, at distinct and
+    consecutive times."""
+    if not batches:
+        raise DataError("no records in the data file")
     batches.sort(key=lambda b: b.time)
     for prev, nxt in zip(batches, batches[1:]):
         if nxt.time == prev.time:

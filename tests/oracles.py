@@ -7,9 +7,10 @@ implementations it checks.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 from scipy import integrate
@@ -188,6 +189,154 @@ def inline_categorical(probs, rng) -> int:
             pick = i
             break
     return pick
+
+
+def _pre_masses(state, v: int) -> dict[int, int]:
+    """Alive masses the batch at time v is drawn against (units born
+    before v that survive through v), label -> count, rebuilt from the
+    post-batch counts."""
+    out = dict(state.m_post[v - 1])
+    for lab in state.c[v - 1]:
+        m = out[lab] - 1
+        if m:
+            out[lab] = m
+        else:
+            del out[lab]
+    return out
+
+
+def _unit_loglik(state, label, z, t, stats_a, a):
+    """Log-likelihood of observation z (at time t) in box `label` (None: a
+    fresh box); `stats_a` stands for box a's statistics without the unit."""
+    if state.model is None or state.obs is None:
+        return 0.0
+    if label is None:
+        return state.model.predictive_logp(state.model.empty_stats(), z)
+    if state.mode == "collapsed":
+        return state.model.predictive_logp(stats_a if label == a else state.stats[label], z)
+    if state.mode == "static":
+        return state.model.log_likelihood(z, state.locs[label])
+    return state.model.log_likelihood(z, state.locs[label][t])
+
+
+def allocation_scores(state, k: int, t: int):
+    """Full conditional of c_{k,t} by replaying every later draw inside the
+    unit's lifetime one at a time, with the pre-batch masses rebuilt per
+    batch: the sampler's allocation move before it kept pre-batch counts.
+
+    Returns None when a later draw pins the unit, else (labels, log-scores)
+    with the fresh box last.
+    """
+    a = state.c[t - 1][k]
+    dd = min(state.d[t - 1][k], state.T)
+    z = state.obs[t - 1][k] if state.obs is not None else None
+
+    cur = _pre_masses(state, t)
+    for k2 in range(k):
+        b = state.c[t - 1][k2]
+        cur[b] = cur.get(b, 0) + 1
+    entry = dict(cur)
+
+    adj: dict[int, float] = defaultdict(float)
+    forced = False
+    scan = [(t, k2) for k2 in range(k + 1, state.n)] + [
+        (v, k2) for v in range(t + 1, dd + 1) for k2 in range(state.n)
+    ]
+    v_cur = t
+    for (v, k2) in scan:
+        if v != v_cur:
+            cur = _pre_masses(state, v)
+            m_a = cur.get(a, 0) - 1
+            if m_a:
+                cur[a] = m_a
+            else:
+                cur.pop(a, None)
+            v_cur = v
+        b = state.c[v - 1][k2]
+        m = cur.get(b, 0)
+        if m == 0:
+            if b == a and state.founder[b] != (v, k2):
+                forced = True
+                break
+        elif b == a or b in entry:
+            adj[b] += math.log(m + 1) - math.log(m)
+        cur[b] = m + 1
+    if forced:
+        return None
+
+    stats_a = None
+    if state.model is not None and state.obs is not None and state.mode == "collapsed":
+        stats_a = copy.deepcopy(state.stats[a])
+        state.model.stats_remove(stats_a, z)
+
+    labels = [b for b, m in entry.items() if m > 0]
+    scores = [
+        math.log(entry[b]) + adj.get(b, 0.0) + _unit_loglik(state, b, z, t, stats_a, a) for b in labels
+    ]
+    scores.append(math.log(state.theta) + _unit_loglik(state, None, z, t, stats_a, a))
+    return labels, scores
+
+
+def lifetime_log_prior(rho: float, t: int, u: int, T: int) -> float:
+    """Truncated-geometric prior of death time u for a unit born at t."""
+    if u == T + 1:
+        return float("-inf") if rho == 0.0 else (T + 1 - t) * math.log(rho)
+    if rho == 1.0:
+        return float("-inf")
+    tail = 0.0 if u == t else (float("-inf") if rho == 0.0 else (u - t) * math.log(rho))
+    return tail + math.log(1.0 - rho)
+
+
+def death_time_scores(state, k: int, t: int) -> list[float]:
+    """Full conditional of d_{k,t} over t..T+1, from the urn probabilities
+    of every later batch's draws with the unit alive (A) and dead (B),
+    recomputed draw by draw: the sampler's death-time move before it
+    summed per-batch differences."""
+    NEG_INF = float("-inf")
+    a = state.c[t - 1][k]
+    d_old = state.d[t - 1][k]
+    T = state.T
+    rho = state.rho
+
+    A = {}
+    B = {}
+    alive_last = min(d_old, T)
+    for v in range(t + 1, T + 1):
+        cur = _pre_masses(state, v)
+        if v <= alive_last:
+            m_a = cur.get(a, 0) - 1
+            if m_a:
+                cur[a] = m_a
+            else:
+                cur.pop(a, None)
+        total = sum(cur.values())
+        av = bv = 0.0
+        for k2 in range(state.n):
+            b = state.c[v - 1][k2]
+            m = cur.get(b, 0)
+            if state.founder[b] == (v, k2):
+                num_with = num_without = math.log(state.theta)
+            else:
+                num_with = math.log(m + (1 if b == a else 0))
+                num_without = math.log(m) if m > 0 else NEG_INF
+            av += num_with - math.log(total + 1 + state.theta)
+            bv += (num_without - math.log(total + state.theta)) if num_without > NEG_INF else NEG_INF
+            cur[b] = m + 1
+            total += 1
+        A[v] = av
+        B[v] = bv
+
+    scores = []
+    b_suffix = {T + 1: 0.0}
+    for v in range(T, t, -1):
+        b_suffix[v] = b_suffix[v + 1] + B[v]
+    acc_a = 0.0
+    for u in range(t, T + 2):
+        if t < u <= T:
+            acc_a += A[u]
+        prior = lifetime_log_prior(rho, t, u, T)
+        scores.append(prior + acc_a + b_suffix.get(min(u, T) + 1, 0.0))
+    return scores
 
 
 def tv(p: dict, q: dict) -> float:

@@ -123,6 +123,22 @@ class TestCli:
         assert code == 2
         assert "smc only" in err
 
+    @pytest.mark.parametrize("proposal,code", [(None, 2), ("conjugate", 2), ("prior", 0)])
+    def test_smc_topic_needs_prior_proposal(self, tmp_path, proposal, code):
+        args = write_corpus(tmp_path, [{"t": 1, "words": [0, 3]}, {"t": 2, "words": [1, 1]}])
+        cfg_path = tmp_path / "m.json"
+        cfg = json.loads(cfg_path.read_text())
+        cfg["inference"] = {"method": "smc", "n_particles": 5}
+        if proposal:
+            cfg["inference"]["proposal"] = proposal
+        cfg_path.write_text(json.dumps(cfg))
+        got, _, err = run_cli(["smc"] + args[1:])
+        assert got == code
+        if code:
+            assert err.startswith("error: ") and '"proposal": "prior"' in err
+        else:
+            assert len((tmp_path / "o.jsonl").read_text().splitlines()) == 2
+
     def test_unknown_subcommand_exits_2(self):
         proc = subprocess.run(
             [sys.executable, "-m", "tvdpm.cli", "frobnicate"], capture_output=True
@@ -251,6 +267,19 @@ class TestBadData:
         code, _, err = run_cli(args)
         assert code == 2
         assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("reader", [write_stream, write_corpus], ids=["stream", "corpus"])
+    def test_empty_file(self, tmp_path, reader):
+        code, _, err = run_cli(reader(tmp_path, []))
+        assert code == 2
+        assert err.startswith("error: ") and "no records" in err
+
+    @pytest.mark.parametrize("reader", [write_stream, write_corpus], ids=["stream", "corpus"])
+    def test_empty_batch(self, tmp_path, reader):
+        key = "values" if reader is write_stream else "words"
+        code, _, err = run_cli(reader(tmp_path, [{"t": 1, key: [1]}, {"t": 2, key: []}]))
+        assert code == 2
+        assert err.startswith("error: ") and "t=2" in err
 
     def test_word_ids_outside_vocabulary(self, tmp_path):
         args = write_corpus(tmp_path, [{"t": 1, "words": [0, 3]}, {"t": 2, "words": [9, 4]}])

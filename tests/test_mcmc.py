@@ -1,3 +1,4 @@
+import copy
 import math
 from collections import Counter
 
@@ -5,10 +6,12 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from tvdpm.kernels import FiniteAtomic, GaussianAR1, GaussianKnownVar
-from tvdpm.models import KnownVarGaussianModel, stats_of
+import tvdpm.mcmc as mcmc
+from tvdpm.kernels import FiniteAtomic, GaussianAR1, GaussianKnownVar, SymmetricDirichlet
+from tvdpm.models import KnownVarGaussianModel, TopicModel, stats_of
 from tvdpm.mcmc import (
     MCMCState,
+    gibbs_allocation,
     gibbs_death_time,
     gibbs_locations,
     reconstruct_counts,
@@ -17,6 +20,7 @@ from tvdpm.mcmc import (
 )
 from tvdpm.partitions import counts_of, enumerate_partitions, esf_log_prob
 
+from . import oracles
 from .oracles import canonical_state_key, enumerate_toy_posterior, forward_alive_counts, tv
 
 
@@ -51,6 +55,18 @@ class TestPriorSimulation:
     def test_caches_consistent(self, rng):
         for _ in range(50):
             state = MCMCState.from_prior(4, 3, 1.0, 0.5, rng)
+            state.check_caches()
+
+    def test_corrupt_pre_batch_cache_detected(self, rng):
+        state = MCMCState.from_prior(4, 3, 1.0, 0.9, rng)
+        v = next(u for u in range(state.T) if state.pre[u])
+        label = next(iter(state.pre[v]))
+        state.pre[v][label] += 1
+        with pytest.raises(AssertionError, match="pre-batch"):
+            state.check_caches()
+        state.pre[v][label] -= 1
+        state.pre_total[v] += 1
+        with pytest.raises(AssertionError, match="pre-batch"):
             state.check_caches()
 
     def test_rho_one_all_capped(self, rng):
@@ -152,6 +168,90 @@ class TestAllocationMove:
         for _ in range(200):
             sweep(state, rng)
         state.check_caches()
+
+
+class _Scored(Exception):
+    pass
+
+
+def _sampler_scores(move, state, k, t, monkeypatch):
+    """Log-scores a move hands to its categorical draw, or None if it
+    returns without drawing; the move runs on a copy of the state."""
+    seen = []
+
+    def capture(scores, rng):
+        seen.append(list(scores))
+        raise _Scored
+
+    monkeypatch.setattr(mcmc, "sample_log_categorical", capture)
+    try:
+        move(copy.deepcopy(state), k, t, None)
+    except _Scored:
+        pass
+    monkeypatch.undo()
+    return seen[0] if seen else None
+
+
+def _normalised(scores):
+    top = max(scores)
+    w = [math.exp(s - top) for s in scores]
+    return np.array(w) / sum(w)
+
+
+def _same_conditional(fast, slow):
+    assert [s == -math.inf for s in fast] == [s == -math.inf for s in slow]
+    if max(slow) == -math.inf:
+        return
+    np.testing.assert_allclose(_normalised(fast), _normalised(slow), rtol=0, atol=1e-12)
+
+
+def _pin_states(rng):
+    """States reached by sweeping: prior-only, collapsed topic, and
+    known-variance Gaussian with static and AR1 locations, at each rho."""
+    T, n = 6, 4
+    gauss = KnownVarGaussianModel(GaussianKnownVar(0.0, 2.0), 1.0)
+    topic = TopicModel(SymmetricDirichlet(2.0, 6))
+    for rho in (0.0, 0.3, 0.9, 1.0):
+        words = [tuple(int(w) for w in rng.integers(0, 6, n)) for _ in range(T)]
+        values = [tuple(float(x) for x in rng.normal(0.0, 2.0, n)) for _ in range(T)]
+        setups = [
+            dict(),
+            dict(observations=words, model=topic, mode="collapsed"),
+            dict(observations=values, model=gauss, mode="static"),
+            dict(observations=values, model=gauss, mode="ar1", kernel=GaussianAR1(0.8, gauss.base)),
+        ]
+        for kw in setups:
+            state = MCMCState.from_prior(T, n, 0.8, rho, rng, **kw)
+            for _ in range(6):
+                sweep(state, rng)
+                yield state
+
+
+class TestMovesAgainstOracle:
+    def test_conditionals_match_per_draw_replay(self, rng, monkeypatch):
+        stranded = forced = drawn = 0
+        for state in _pin_states(rng):
+            for t in range(1, state.T + 1):
+                for k in range(state.n):
+                    slow = oracles.death_time_scores(state, k, t)
+                    fast = _sampler_scores(gibbs_death_time, state, k, t, monkeypatch)
+                    if fast is None:
+                        assert max(slow) == -math.inf
+                    else:
+                        _same_conditional(fast, slow)
+                    priors = [oracles.lifetime_log_prior(state.rho, t, u, state.T) for u in range(t, state.T + 2)]
+                    stranded += any(p > -math.inf and s == -math.inf for p, s in zip(priors, slow))
+
+                    slow = oracles.allocation_scores(state, k, t)
+                    fast = _sampler_scores(gibbs_allocation, state, k, t, monkeypatch)
+                    assert (fast is None) == (slow is None)
+                    if slow is None:
+                        forced += 1
+                        continue
+                    _same_conditional(fast, slow[1])
+                    drawn += 1
+            state.check_caches()
+        assert stranded > 0 and forced > 0 and drawn > 0
 
 
 class TestRelabel:
