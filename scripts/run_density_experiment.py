@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Sequential density-estimation experiment, end to end.
 
-Generates a piecewise mixture stream (preset), filters it online with the
-mixture deletion policy and the survival-probability random walk, and
-writes plot-ready CSVs: per-step alive mass / posterior rho, and density
+Generates a piecewise mixture stream (preset) and filters it online with
+the model, deletion policy, survival-probability random walk, particle
+count and density grid of an smc config file (by default the shipped
+examples_config/smc_density.json; its data section is not read).  Writes
+plot-ready CSVs: per-step alive mass / posterior rho, and density
 snapshots (t, x, f_true, f_est) at selected times.
 
 Example:
     python scripts/run_density_experiment.py --preset paper-4.1-scaled \
-        --n-particles 500 --seed 7 --data-seed 1000 --out-dir results/
+        --seed 7 --data-seed 1000 --out-dir results/
 """
 
 import argparse
@@ -17,29 +19,30 @@ import pathlib
 
 import numpy as np
 
+from tvdpm.config import build_filter_config, build_model, load_config
 from tvdpm.datagen import DENSITY_PRESETS, gen_density_data, mixture_density
-from tvdpm.kernels import NormalInverseGamma, StaticKernel
-from tvdpm.models import GaussianModel, ObservationBatch
-from tvdpm.smc import FilterConfig, RhoWalk, run_filter
-from tvdpm.urn import MixturePolicy, SizeBiasedDeletion, UniformDeletion
+from tvdpm.kernels import StaticKernel
+from tvdpm.models import ObservationBatch
+from tvdpm.smc import run_filter
+
+DEFAULT_CONFIG = pathlib.Path(__file__).resolve().parents[1] / "examples_config" / "smc_density.json"
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--config", default=str(DEFAULT_CONFIG), help="smc config (needs inference.grid)")
     ap.add_argument("--preset", default="paper-4.1-scaled", choices=sorted(DENSITY_PRESETS))
-    ap.add_argument("--n-particles", type=int, default=500)
-    ap.add_argument("--theta", type=float, default=3.0)
-    ap.add_argument("--a-rho", type=float, default=1000.0)
-    ap.add_argument("--rho0", type=float, default=0.9)
-    ap.add_argument("--alpha", type=float, default=0.98)
-    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--seed", type=int, help="filter seed (default: the config's seed)")
     ap.add_argument("--data-seed", type=int, default=1000)
-    ap.add_argument("--grid-lo", type=float, default=-9.0)
-    ap.add_argument("--grid-hi", type=float, default=9.0)
-    ap.add_argument("--grid-points", type=int, default=200)
     ap.add_argument("--snapshot-every", type=int, default=50)
     ap.add_argument("--out-dir", default="results")
     args = ap.parse_args()
+
+    cfg = load_config(args.config)
+    model = build_model(cfg.model)
+    fc = build_filter_config(cfg)
+    if fc.grid is None:
+        ap.error(f"{args.config} has no inference.grid to estimate the density on")
 
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -48,17 +51,8 @@ def main():
     batches = [ObservationBatch(r["t"], tuple(r["values"])) for r in stream]
     truths = {r["t"]: r["truth"] for r in stream}
 
-    grid = np.linspace(args.grid_lo, args.grid_hi, args.grid_points)
-    model = GaussianModel(NormalInverseGamma(0.0, 0.1, 2.0, 1.0))
-    fc = FilterConfig(
-        n_particles=args.n_particles,
-        theta=args.theta,
-        policy=MixturePolicy(args.alpha, UniformDeletion(None), SizeBiasedDeletion()),
-        proposal="conjugate",
-        rho_walk=RhoWalk(a_rho=args.a_rho, rho0=args.rho0),
-        grid=grid,
-    )
-    rng = np.random.default_rng(args.seed)
+    grid = fc.grid
+    rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
 
     curve_path = out / f"alive_mass_{args.preset}.csv"
     snap_path = out / f"density_snapshots_{args.preset}.csv"

@@ -25,7 +25,6 @@ from tvdpm.models import TopicModel
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sweeps", type=int, default=2000)
-    ap.add_argument("--burn-in", type=int, default=500)
     ap.add_argument("--theta", type=float, default=0.3)
     ap.add_argument("--theta-v", type=float, default=2.0)
     ap.add_argument("--rho", type=float, default=0.4)

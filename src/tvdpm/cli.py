@@ -141,6 +141,17 @@ def cmd_mcmc(args) -> int:
     kernel = build_kernel(inf.get("kernel"), model)
     if cfg.policy["type"] != "uniform" or cfg.policy["rho"] == "walk":
         raise ConfigError("mcmc supports the fixed-rho uniform deletion policy only")
+    if cfg.policy["rho"] != inf["rho"]:
+        raise ConfigError(
+            f"policy.rho ({cfg.policy['rho']}) and inference.rho ({inf['rho']}) disagree"
+        )
+    mode = inf.get("mode", "collapsed")
+    kind = inf.get("kernel", {"type": "static"})["type"]
+    if (mode == "ar1") != (kind == "ar1"):
+        raise ConfigError(
+            f'"mode": "{mode}" with the {kind} kernel: mcmc needs an ar1 '
+            'inference.kernel exactly in "mode": "ar1"'
+        )
     if cfg.data is None:
         raise ConfigError("mcmc needs a data section")
     if cfg.model["type"] == "topic":
@@ -160,8 +171,8 @@ def cmd_mcmc(args) -> int:
         rng,
         observations=obs,
         model=model,
-        mode=inf.get("mode", "collapsed"),
-        kernel=kernel if inf.get("mode") == "ar1" else None,
+        mode=mode,
+        kernel=kernel,
     )
     ckpt_every = inf.get("checkpoint_every", 0)
     ckpt_path = (cfg.output or {}).get("checkpoint_path")

@@ -133,6 +133,8 @@ def build_filter_config(cfg: ExperimentConfig) -> FilterConfig:
     proposal = inf.get("proposal", "conjugate")
     if cfg.model["type"] == "topic" and proposal != "prior":
         raise ConfigError('the topic model has no conjugate proposal: smc needs "proposal": "prior"')
+    if cfg.model["type"] == "topic" and grid is not None:
+        raise ConfigError("density estimation (inference.grid) needs a Gaussian observation model")
     return FilterConfig(
         n_particles=inf["n_particles"],
         theta=cfg.theta,

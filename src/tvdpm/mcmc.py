@@ -125,7 +125,6 @@ class MCMCState:
         self.pre: list[dict[int, int]] = [dict() for _ in range(T)]
         self.pre_total: list[int] = [0] * T
         self.blocks: dict[int, set] = {}
-        self.founder: dict[int, tuple[int, int]] = {}
         self.stats: dict[int, object] = {}
         self.locs: dict[int, object] = {}
 
@@ -204,8 +203,8 @@ class MCMCState:
         state._load_tables([list(row) for row in c], [list(row) for row in d], next_label)
         if canonicalize:
             for lab in list(state.blocks):
-                while _first_gap(state, lab) is not None:
-                    relabel(state, lab, _first_gap(state, lab))
+                while (gap := _first_gap(state, lab)) is not None:
+                    relabel(state, lab, gap)
         if state.mode != "collapsed":
             state._init_locations(rng if rng is not None else np.random.default_rng())
         return state
@@ -221,59 +220,50 @@ class MCMCState:
             for k, lab in enumerate(row):
                 self.blocks[lab].add((ti + 1, k))
         self.blocks = dict(self.blocks)
-        self.founder = {lab: min(units) for lab, units in self.blocks.items()}
-        if self.model is not None and self.obs is not None:
+        if self.obs is not None:
             self.stats = {lab: self._stats_of(units) for lab, units in self.blocks.items()}
 
     def _init_locations(self, rng: np.random.Generator):
-        base = self.model.base if self.model is not None else None
         for lab in self.blocks:
             if self.mode == "static":
-                if self.model is not None and self.obs is not None:
-                    self.locs[lab] = self.model.posterior_sample_from_stats(self.stats[lab], rng)
-                else:
-                    self.locs[lab] = sample_base(base, rng)
+                self.locs[lab] = _fresh_location(self, lab, rng)
             else:
-                lo, hi = self.alive_interval(lab)
-                traj = {}
-                u = sample_base(self.kernel.base, rng)
-                for v in range(lo, hi + 1):
-                    traj[v] = u if v == lo else self.kernel.transition(traj[v - 1], rng)
-                self.locs[lab] = traj
+                self.locs[lab] = {self.alive_interval(lab)[0]: sample_base(self.kernel.base, rng)}
+                _fit_trajectory(self, lab, rng)
 
     # -- small helpers --------------------------------------------------------
 
-    def alive_interval(self, label: int) -> tuple[int, int]:
-        times = [u + 1 for u in range(self.T) if self.m_post[u].get(label, 0) > 0]
-        return times[0], times[-1]
+    def _alive_times(self, label: int) -> list[int]:
+        """The times at which box `label` has units alive after the batch."""
+        return [u + 1 for u in range(self.T) if self.m_post[u].get(label, 0) > 0]
 
-    def block_max_death(self, label: int) -> int:
-        return max(min(self.d[t - 1][k], self.T) for (t, k) in self.blocks[label])
+    def alive_interval(self, label: int) -> tuple[int, int]:
+        times = self._alive_times(label)
+        return times[0], times[-1]
 
     def _stats_of(self, units):
         return stats_of(self.model, (self.obs[t - 1][k] for (t, k) in units))
 
     def _obs_at(self, label: int, v: int) -> list:
-        if self.obs is None:
-            return []
         return [self.obs[v - 1][k] for k in range(self.n) if self.c[v - 1][k] == label]
 
     def check_caches(self):
-        """Debug invariant: incremental caches match a from-scratch rebuild
-        and every box's alive interval is contiguous."""
+        """Debug invariant: incremental caches match a from-scratch rebuild,
+        every box's alive interval is contiguous, and (AR1 mode) every box's
+        trajectory covers exactly that interval."""
         after_batch, after_deletion = reconstruct_counts(self.c, self.d)
         for u in range(self.T):
             if self.m_post[u] != after_batch[u]:
                 raise AssertionError(f"alive-count cache diverged at time {u + 1}")
             if self.pre[u] != after_deletion[u] or self.pre_total[u] != sum(after_deletion[u].values()):
                 raise AssertionError(f"pre-batch cache diverged at time {u + 1}")
-        for lab, units in self.blocks.items():
-            alive = [u + 1 for u in range(self.T) if self.m_post[u].get(lab, 0) > 0]
+        for lab in self.blocks:
+            alive = self._alive_times(lab)
             if alive != list(range(alive[0], alive[-1] + 1)):
                 raise AssertionError(f"box {lab} alive interval not contiguous: {alive}")
-            if self.founder[lab] != min(units):
-                raise AssertionError(f"founder cache wrong for box {lab}")
-        if self.model is not None and self.obs is not None:
+            if self.mode == "ar1" and sorted(self.locs[lab]) != alive:
+                raise AssertionError(f"box {lab} trajectory does not cover its alive times {alive}")
+        if self.obs is not None:
             for lab, units in self.blocks.items():
                 if not _stats_close(self._stats_of(units), self.stats[lab]):
                     raise AssertionError(f"stats cache diverged for box {lab}")
@@ -284,7 +274,7 @@ class MCMCState:
         return [len(self.m_post[u]) for u in range(self.T)]
 
     def log_marginal_likelihood(self) -> float:
-        if self.model is None or self.obs is None:
+        if self.obs is None:
             return 0.0
         out = 0.0
         for lab, units in self.blocks.items():
@@ -336,14 +326,12 @@ def _stats_close(a, b) -> bool:
 def _move_loglik(state: MCMCState, label, z, t):
     """Log-likelihood weight of putting observation z (at time t) into the
     given box; label None means a fresh box."""
-    if state.model is None or state.obs is None:
+    if state.obs is None:
         return 0.0
-    if state.mode == "collapsed":
-        if label is None:
-            return state.model.predictive_logp(state.model.empty_stats(), z)
-        return state.model.predictive_logp(state.stats[label], z)
     if label is None:
         return state.model.predictive_logp(state.model.empty_stats(), z)
+    if state.mode == "collapsed":
+        return state.model.predictive_logp(state.stats[label], z)
     if state.mode == "static":
         return state.model.log_likelihood(z, state.locs[label])
     return state.model.log_likelihood(z, state.locs[label][t])
@@ -409,7 +397,7 @@ def gibbs_allocation(state: MCMCState, k: int, t: int, rng: np.random.Generator)
                     return
                 adj[b] += math.log(m + drawn) - math.log(m)
 
-    if state.model is not None and state.obs is not None and state.mode == "collapsed":
+    if state.obs is not None and state.mode == "collapsed":
         state.model.stats_remove(state.stats[a], z)
 
     labels = list(entry)
@@ -419,10 +407,10 @@ def gibbs_allocation(state: MCMCState, k: int, t: int, rng: np.random.Generator)
     target = labels[pick] if pick < len(labels) else None
 
     if target == a:
-        if state.model is not None and state.obs is not None and state.mode == "collapsed":
+        if state.obs is not None and state.mode == "collapsed":
             state.model.stats_add(state.stats[a], z)
         return
-    _detach_unit(state, a, k, t, dd, z)
+    _detach_unit(state, a, k, t, dd, z, rng)
     if target is None:
         target = state.next_label
         state.next_label += 1
@@ -432,59 +420,64 @@ def gibbs_allocation(state: MCMCState, k: int, t: int, rng: np.random.Generator)
     state.c[t - 1][k] = target
 
 
-def _detach_unit(state: MCMCState, a: int, k: int, t: int, dd: int, z):
+def _detach_unit(state: MCMCState, a: int, k: int, t: int, dd: int, z, rng):
     state.blocks[a].discard((t, k))
     _shift(state, a, t, dd, -1, t)
     if not state.blocks[a]:
         del state.blocks[a]
-        state.founder.pop(a, None)
         state.stats.pop(a, None)
         state.locs.pop(a, None)
         return
     # collapsed-mode stats were already reduced by the caller; explicit modes
     # keep stats in sync here
-    if state.model is not None and state.obs is not None and state.mode != "collapsed":
+    if state.obs is not None and state.mode != "collapsed":
         state.model.stats_remove(state.stats[a], z)
     if state.mode == "ar1":
-        lo, hi = state.alive_interval(a)
-        traj = state.locs[a]
-        for v in [v for v in traj if v > hi or v < lo]:
-            del traj[v]
+        _fit_trajectory(state, a, rng)
 
 
 def _attach_unit(state: MCMCState, b: int, k: int, t: int, dd: int, z, rng):
-    if state.mode == "ar1":
-        old_hi = state.block_max_death(b)
     state.blocks[b].add((t, k))
     _shift(state, b, t, dd, 1, t)
-    if state.model is not None and state.obs is not None:
+    if state.obs is not None:
         state.model.stats_add(state.stats[b], z)
-    if state.mode == "ar1" and dd > old_hi:
-        traj = state.locs[b]
-        for v in range(old_hi + 1, dd + 1):
-            traj[v] = state.kernel.transition(traj[v - 1], rng)
+    if state.mode == "ar1":
+        _fit_trajectory(state, b, rng)
 
 
 def _attach_new_box(state: MCMCState, b: int, k: int, t: int, dd: int, z, rng):
     state.blocks[b] = {(t, k)}
-    state.founder[b] = (t, k)
     _shift(state, b, t, dd, 1, t)
-    if state.model is not None and state.obs is not None:
+    if state.obs is not None:
         state.stats[b] = stats_of(state.model, [z])
     if state.mode == "static":
-        if state.model is not None and state.obs is not None:
-            state.locs[b] = state.model.posterior_sample_from_stats(state.stats[b], rng)
-        else:
-            state.locs[b] = sample_base(state.model.base if state.model else state.kernel.base, rng)
+        state.locs[b] = _fresh_location(state, b, rng)
     elif state.mode == "ar1":
-        traj = {}
-        if state.model is not None and state.obs is not None:
-            traj[t] = state.model.posterior_sample_from_stats(stats_of(state.model, [z]), rng)
-        else:
-            traj[t] = sample_base(state.kernel.base, rng)
-        for v in range(t + 1, dd + 1):
-            traj[v] = state.kernel.transition(traj[v - 1], rng)
-        state.locs[b] = traj
+        state.locs[b] = {t: _fresh_location(state, b, rng)}
+        _fit_trajectory(state, b, rng)
+
+
+def _fresh_location(state: MCMCState, label: int, rng):
+    """A new location for box `label` (its birth value in AR1 mode): a draw
+    from the conjugate posterior of the box's statistics when there is data,
+    else from the base (the kernel's in AR1 mode, the model's otherwise)."""
+    if state.obs is not None:
+        return state.model.posterior_sample_from_stats(state.stats[label], rng)
+    return sample_base(state.kernel.base if state.mode == "ar1" else state.model.base, rng)
+
+
+def _fit_trajectory(state: MCMCState, label: int, rng):
+    """Restore the AR1 invariant for box `label`: its trajectory covers
+    exactly the box's alive interval.  Values outside the interval are
+    dropped and the end is extended by kernel transitions from the last kept
+    value.  The first alive time of a box never moves while it has units, so
+    the start needs no new value."""
+    lo, hi = state.alive_interval(label)
+    traj = state.locs[label]
+    for v in [v for v in traj if not lo <= v <= hi]:
+        del traj[v]
+    for v in range(max(traj) + 1, hi + 1):
+        traj[v] = state.kernel.transition(traj[v - 1], rng)
 
 
 # -- the death-time move ----------------------------------------------------------
@@ -546,18 +539,12 @@ def gibbs_death_time(state: MCMCState, k: int, t: int, rng: np.random.Generator)
     d_new = t + sample_log_categorical(scores, rng)[0]
     if d_new == d_old:
         return
+    state.d[t - 1][k] = d_new
     lo, hi = min(d_old, T), min(d_new, T)
     if hi != lo:
         _shift(state, a, min(lo, hi) + 1, max(lo, hi), 1 if hi > lo else -1, t)
-    state.d[t - 1][k] = d_new
-    if state.mode == "ar1" and hi != lo:
-        traj = state.locs[a]
-        new_hi = state.block_max_death(a)
-        for v in [v for v in traj if v > new_hi]:
-            del traj[v]
-        last = max(traj)
-        for v in range(last + 1, new_hi + 1):
-            traj[v] = state.kernel.transition(traj[v - 1], rng)
+        if state.mode == "ar1":
+            _fit_trajectory(state, a, rng)
 
 
 # -- location moves ------------------------------------------------------------
@@ -574,32 +561,29 @@ def gibbs_locations(state: MCMCState, j: int, t: int, rng: np.random.Generator):
     if state.mode == "collapsed":
         raise ValueError("locations are integrated out in collapsed mode")
     if state.mode == "static":
-        if state.model is not None and state.obs is not None:
-            state.locs[j] = state.model.posterior_sample_from_stats(state.stats[j], rng)
-        else:
-            base = state.model.base if state.model is not None else state.kernel.base
-            state.locs[j] = sample_base(base, rng)
+        state.locs[j] = _fresh_location(state, j, rng)
         return
     kernel = state.kernel
     mu0, sigma0 = kernel.base.mu0, kernel.base.sigma0
     s2 = kernel.noise_scale ** 2
     phi = kernel.phi
+    # the trajectory covers exactly the alive interval, so its keys say
+    # whether t has a left and a right neighbour
     traj = state.locs[j]
-    lo, hi = state.alive_interval(j)
     # prior factor from the left neighbour (or the base at birth)
-    if t == lo:
-        mean, var = mu0, sigma0 * sigma0
-    else:
+    if t - 1 in traj:
         mean, var = mu0 + phi * (traj[t - 1] - mu0), s2
+    else:
+        mean, var = mu0, sigma0 * sigma0
     prec = 1.0 / var
     mean_p = mean * prec
     # prior factor from the right neighbour
-    if t < hi and abs(phi) > 0:
+    if t + 1 in traj and abs(phi) > 0:
         prec_r = phi * phi / s2
         mean_r = mu0 + (traj[t + 1] - mu0) / phi
         prec += prec_r
         mean_p += mean_r * prec_r
-    if state.model is not None and state.obs is not None:
+    if state.obs is not None:
         ov = state.model.obs_sigma ** 2
         for z in state._obs_at(j, t):
             prec += 1.0 / ov
@@ -613,9 +597,7 @@ def gibbs_locations(state: MCMCState, j: int, t: int, rng: np.random.Generator):
 
 def _first_gap(state: MCMCState, label: int):
     """First time u with the box dead at u but alive again later, or None."""
-    alive = [u + 1 for u in range(state.T) if state.m_post[u].get(label, 0) > 0]
-    if not alive:
-        return None
+    alive = state._alive_times(label)
     for prev, nxt in zip(alive, alive[1:]):
         if nxt > prev + 1:
             return prev + 1
@@ -626,9 +608,9 @@ def relabel(state: MCMCState, label: int, from_time: int):
     """Split the segment of `label` that restarts after the gap at
     `from_time` off into a fresh box (up to the next gap), restoring the
     contiguous-alive-interval invariant.  No-op for contiguous boxes."""
-    alive = [u + 1 for u in range(state.T) if state.m_post[u].get(label, 0) > 0]
+    alive = state._alive_times(label)
     restart = [u for u in alive if u >= from_time]
-    if not restart or _first_gap(state, label) is None:
+    if not restart or alive[-1] - alive[0] + 1 == len(alive):
         return
     seg_start = restart[0]
     seg_end = seg_start
@@ -647,30 +629,24 @@ def relabel(state: MCMCState, label: int, from_time: int):
         dd = min(state.d[t - 1][k], state.T)
         _shift(state, label, t, dd, -1, t)
         _shift(state, fresh, t, dd, 1, t)
-    state.founder[fresh] = min(state.blocks[fresh])
     if not state.blocks[label]:
         del state.blocks[label]
-        state.founder.pop(label, None)
-    else:
-        state.founder[label] = min(state.blocks[label])
-    if state.model is not None and state.obs is not None:
+    if state.obs is not None:
         for lab in (label, fresh):
-            if lab not in state.blocks:
-                state.stats.pop(lab, None)
-                continue
-            state.stats[lab] = state._stats_of(state.blocks[lab])
-    if state.mode == "static" and label in state.locs:
-        state.locs[fresh] = state.locs[label]
+            if lab in state.blocks:
+                state.stats[lab] = state._stats_of(state.blocks[lab])
+            else:
+                state.stats.pop(lab)
+    if label in state.locs:
+        # both parts keep the locations they had; an AR1 trajectory already
+        # spans both parts' alive intervals, so fitting it only trims
+        loc = state.locs[label]
+        state.locs[fresh] = dict(loc) if state.mode == "ar1" else loc
         if label not in state.blocks:
             del state.locs[label]
-    elif state.mode == "ar1" and label in state.locs:
-        traj = state.locs[label]
-        state.locs[fresh] = {v: x for v, x in traj.items() if seg_start <= v <= seg_end}
-        if label in state.blocks:
-            lo, hi = state.alive_interval(label)
-            state.locs[label] = {v: x for v, x in traj.items() if lo <= v <= hi}
-        else:
-            del state.locs[label]
+        for lab in (label, fresh):
+            if state.mode == "ar1" and lab in state.blocks:
+                _fit_trajectory(state, lab, None)
 
 
 # -- one sweep -----------------------------------------------------------------

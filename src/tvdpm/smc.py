@@ -273,17 +273,9 @@ def advance(
         )
         log_inc += log_pq
         # commit allocations to the urn state
-        t_new = urn.time + 1
         for lab in assignments:
-            if lab in urn.boxes:
-                urn.boxes[lab] += 1
-            else:
-                urn.boxes[lab] = 1
-                urn.next_label = lab + 1
-            if urn.births is not None:
-                cells = urn.births.setdefault(lab, {})
-                cells[t_new] = cells.get(t_new, 0) + 1
-        urn.time = t_new
+            urn.add_unit(lab)
+        urn.time += 1
         # locations: newborn boxes from the conjugate posterior (or the base
         # under the prior proposal); static survivors keep their value with
         # unit ratio, AR1 survivors move by the kernel (used boxes through

@@ -171,6 +171,18 @@ class UrnState:
             births=births,
         )
 
+    def add_unit(self, label: int) -> None:
+        """Add one unit, born at time `time + 1`, to box `label`; a label
+        not alive opens that box and moves next_label past it."""
+        if label in self.boxes:
+            self.boxes[label] += 1
+        else:
+            self.boxes[label] = 1
+            self.next_label = label + 1
+        if self.births is not None:
+            cells = self.births.setdefault(label, {})
+            cells[self.time + 1] = cells.get(self.time + 1, 0) + 1
+
     def _drop_box(self, label: int) -> None:
         del self.boxes[label]
         if self.births is not None:
@@ -281,7 +293,6 @@ def allocate_batch(
     if n < 1:
         raise ValueError("n must be >= 1")
     out = state.copy()
-    t = out.time + 1
     labels = list(out.boxes)
     weights = [*out.boxes.values(), out.theta]  # box masses, then the new-box weight
     batch: list[int] = []
@@ -289,19 +300,14 @@ def allocate_batch(
         pick = sample_categorical(weights, rng)
         if pick < len(labels):
             chosen = labels[pick]
-            out.boxes[chosen] += 1
             weights[pick] += 1
         else:
             chosen = out.next_label
-            out.next_label += 1
-            out.boxes[chosen] = 1
             labels.append(chosen)
             weights.insert(pick, 1)
-        if out.births is not None:
-            cells = out.births.setdefault(chosen, {})
-            cells[t] = cells.get(t, 0) + 1
+        out.add_unit(chosen)
         batch.append(chosen)
-    out.time = t
+    out.time += 1
     return out, batch
 
 

@@ -255,7 +255,7 @@ def allocation_scores(state, k: int, t: int):
         b = state.c[v - 1][k2]
         m = cur.get(b, 0)
         if m == 0:
-            if b == a and state.founder[b] != (v, k2):
+            if b == a and min(state.blocks[b]) != (v, k2):
                 forced = True
                 break
         elif b == a or b in entry:
@@ -314,7 +314,7 @@ def death_time_scores(state, k: int, t: int) -> list[float]:
         for k2 in range(state.n):
             b = state.c[v - 1][k2]
             m = cur.get(b, 0)
-            if state.founder[b] == (v, k2):
+            if min(state.blocks[b]) == (v, k2):
                 num_with = num_without = math.log(state.theta)
             else:
                 num_with = math.log(m + (1 if b == a else 0))

@@ -138,6 +138,50 @@ class TestCli:
             assert err.startswith("error: ") and '"proposal": "prior"' in err
         else:
             assert len((tmp_path / "o.jsonl").read_text().splitlines()) == 2
+            # a density grid needs a Gaussian model: rejected before any step
+            (tmp_path / "o.jsonl").unlink()
+            cfg["inference"]["grid"] = {"lo": 0.0, "hi": 1.0, "points": 5}
+            cfg_path.write_text(json.dumps(cfg))
+            got, _, err = run_cli(["smc"] + args[1:])
+            assert got == 2 and err.startswith("error: ") and "inference.grid" in err
+            assert not (tmp_path / "o.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "inference,named",
+        [
+            ({"mode": "ar1"}, '"mode": "ar1" with the static kernel'),
+            ({"mode": "ar1", "kernel": {"type": "static"}}, '"mode": "ar1" with the static kernel'),
+            ({"kernel": {"type": "ar1"}}, '"mode": "collapsed" with the ar1 kernel'),
+            ({"mode": "static", "kernel": {"type": "ar1"}}, '"mode": "static" with the ar1 kernel'),
+            ({"rho": 0.9}, "policy.rho (0.4) and inference.rho (0.9) disagree"),
+            ({"mode": "ar1", "kernel": {"type": "ar1", "phi": 0.5}}, None),
+            ({"mode": "static"}, None),
+        ],
+        ids=["ar1-no-kernel", "ar1-static-kernel", "collapsed-ar1-kernel", "static-ar1-kernel",
+             "rho-mismatch", "ar1-ok", "static-ok"],
+    )
+    def test_mcmc_inconsistent_config_is_usage_error(self, tmp_path, inference, named):
+        data = tmp_path / "data.jsonl"
+        data.write_text("".join(
+            json.dumps({"t": t, "values": [0.3 * t, -0.5]}) + "\n" for t in (1, 2, 3)
+        ))
+        cfg = {
+            "seed": 3,
+            "theta": 1.0,
+            "model": {"type": "gaussian_known_var", "mu0": 0.0, "sigma0": 1.0, "obs_sigma": 0.5},
+            "policy": {"type": "uniform", "rho": 0.4},
+            "inference": {"method": "mcmc", "rho": 0.4, "sweeps": 2, **inference},
+            "data": {"path": str(data)},
+        }
+        cfg_path = tmp_path / "m.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "o.jsonl"
+        code, _, err = run_cli(["mcmc", "--config", str(cfg_path), "--out", str(out)])
+        if named is None:
+            assert code == 0 and len(out.read_text().splitlines()) == 2
+        else:
+            assert code == 2 and err.startswith("error: ") and named in err
+            assert not out.exists()
 
     def test_unknown_subcommand_exits_2(self):
         proc = subprocess.run(

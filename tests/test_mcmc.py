@@ -372,6 +372,18 @@ class TestLocations:
                 lo, hi = state.alive_interval(lab)
                 assert set(state.locs[lab]) == set(range(lo, hi + 1))
 
+    def test_short_trajectory_detected(self, rng):
+        # negative control for the invariant the AR1 location move relies on
+        base = GaussianKnownVar(0.0, 1.0)
+        state = MCMCState.from_prior(
+            5, 2, 1.0, 0.9, rng, mode="ar1", kernel=GaussianAR1(0.9, base)
+        )
+        state.check_caches()
+        traj = state.locs[next(iter(state.blocks))]
+        del traj[max(traj)]
+        with pytest.raises(AssertionError, match="trajectory"):
+            state.check_caches()
+
 
 class TestSummaries:
     def test_alive_boxes_and_loglik(self, rng):
