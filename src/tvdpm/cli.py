@@ -26,6 +26,7 @@ from .config import (
     _schema,
 )
 from .diagnostics import mean_correlation_curve, run_validation_suite
+from .kernels import StaticKernel
 from .mcmc import MCMCState, sweep
 from .models import DataError, read_corpus, read_observation_batches
 from .smc import DegeneracyError, run_filter
@@ -109,8 +110,6 @@ def cmd_smc(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
     model = build_model(cfg.model)
-    inf = cfg.inference
-    kernel = build_kernel(inf.get("kernel") if "kernel" in inf else None, model)
     fc = build_filter_config(cfg)
     if cfg.data is None:
         raise ConfigError("smc needs a data section")
@@ -122,7 +121,8 @@ def cmd_smc(args) -> int:
     out = _open_out(out_path)
     rng = np.random.default_rng(seed)
     try:
-        for rec, _pop in run_filter(batches, model, kernel, fc, rng):
+        # the smc schema has no kernel key: locations stay static
+        for rec, _pop in run_filter(batches, model, StaticKernel(), fc, rng):
             out.write(json.dumps(rec) + "\n")
     except DegeneracyError as exc:
         print(f"degenerate particle population: {exc}", file=sys.stderr)

@@ -4,7 +4,8 @@ curves, and kernel stationarity.
 Every check here compares a Monte Carlo estimate against an independent
 route (exact enumeration, a closed-form expectation, or a known CDF), is
 deterministic given its RNG, and has a negative-control twin in the test
-suite proving it can fail.  Thresholds are arguments, never baked in.
+suite proving it can fail.  The validation suite's pass/fail thresholds
+are the module constants below.
 """
 
 from __future__ import annotations
@@ -34,6 +35,12 @@ __all__ = [
 ]
 
 MAX_ESF_TEST_N = 8
+
+# pass/fail thresholds of `run_validation_suite`
+TV_ESF = 0.02  # full-size ESF marginal TV (the quick suite allows 0.05)
+Z_MAX = 3.0
+KS_ALPHA = 0.01
+CORR_AT_ZERO_TOL = 0.01
 
 
 def esf_distribution(n: int, theta: float) -> dict[tuple[int, ...], float]:
@@ -197,8 +204,6 @@ def mean_correlation_curve(
         theta,
         UniformDeletion(rho),
         track_locations=True,
-        base_mean=0.0,
-        base_scale=1.0,
         kernel_phi=kernel_phi,
     )
     for _ in range(burn_in):
@@ -274,21 +279,7 @@ def kernel_stationarity_test(
     )
 
 
-@dataclass
-class ValidationThresholds:
-    """Pass/fail knobs for the validation suite; arguments, not constants."""
-
-    tv_esf: float = 0.02
-    z_max: float = 3.0
-    ks_alpha: float = 0.01
-    corr_at_zero_tol: float = 0.01
-
-
-def run_validation_suite(
-    seed: int,
-    quick: bool = False,
-    thresholds: ValidationThresholds | None = None,
-) -> dict:
+def run_validation_suite(seed: int, quick: bool = False) -> dict:
     """The library's statistical checks bundled into one report.
 
     Covers the ESF-marginal property for every deletion policy variant
@@ -301,7 +292,6 @@ def run_validation_suite(
     """
     from .urn import ComposePolicy, MixturePolicy, SizeBiasedDeletion, SlidingWindow
 
-    th = thresholds or ValidationThresholds()
     rng = np.random.default_rng(seed)
     checks: list[dict] = []
 
@@ -318,7 +308,7 @@ def run_validation_suite(
         )
 
     n_mc_esf = 20_000 if quick else 200_000
-    tv_thresh = 0.05 if quick else th.tv_esf
+    tv_thresh = 0.05 if quick else TV_ESF
     policies = {
         "uniform(0.7)": UniformDeletion(0.7),
         "size_biased": SizeBiasedDeletion(),
@@ -344,9 +334,9 @@ def run_validation_suite(
         rep = expected_count_check(1.0, rho, 1, (2, 1), n_mc_mom, rng)
         record(
             f"moment-identities/rho={rho}",
-            rep.max_abs_z < th.z_max,
+            rep.max_abs_z < Z_MAX,
             rep.max_abs_z,
-            th.z_max,
+            Z_MAX,
             "max",
             box_means=rep.box_means,
             box_expected=rep.box_expected,
@@ -354,7 +344,7 @@ def run_validation_suite(
     rep = expected_count_check(1.0, 0.5, 1, (2, 1), n_mc_mom, rng)
     wrong_expected = rep.box_expected[0] / rep.rho  # formula without the rho factor
     broken = abs((rep.box_means[0] - wrong_expected) / rep.box_se[0])
-    record("moment-identities/negative-control-missing-rho", broken > th.z_max, broken, th.z_max, "min")
+    record("moment-identities/negative-control-missing-rho", broken > Z_MAX, broken, Z_MAX, "min")
 
     n_mc_corr = 3_000 if quick else 10_000
     taus = [0, 1, 5, 10]
@@ -365,9 +355,9 @@ def run_validation_suite(
     at_zero = curves[0.99].correlations[0]
     record(
         "correlation/corr-at-zero",
-        abs(at_zero - 1.0) < th.corr_at_zero_tol,
+        abs(at_zero - 1.0) < CORR_AT_ZERO_TOL,
         at_zero,
-        th.corr_at_zero_tol,
+        CORR_AT_ZERO_TOL,
         "abs-diff-from-1",
     )
     ordered = all(
@@ -392,15 +382,15 @@ def run_validation_suite(
     n_chains = 2_000 if quick else 10_000
     length = 50 if quick else 100
     ks = kernel_stationarity_test(GaussianAR1(0.9, base), base, length, n_chains, rng)
-    record("kernel-stationarity/ar1(0.9)", ks.pvalue > th.ks_alpha, ks.pvalue, th.ks_alpha, "min")
+    record("kernel-stationarity/ar1(0.9)", ks.pvalue > KS_ALPHA, ks.pvalue, KS_ALPHA, "min")
     ks_bad = kernel_stationarity_test(
         BrokenNoiseKernel(0.9, base), base, length, n_chains, rng
     )
     record(
         "kernel-stationarity/negative-control-broken-noise",
-        ks_bad.pvalue < th.ks_alpha,
+        ks_bad.pvalue < KS_ALPHA,
         ks_bad.pvalue,
-        th.ks_alpha,
+        KS_ALPHA,
         "max",
     )
 

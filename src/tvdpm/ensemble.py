@@ -41,11 +41,11 @@ class UrnEnsemble:
         policy: DeletionPolicy,
         *,
         track_locations: bool = False,
-        base_mean: float = 0.0,
-        base_scale: float = 1.0,
         kernel_phi: float | None = None,
-        init_columns: int = 16,
     ):
+        """Replicas with empty urns.  With track_locations each box carries
+        a location drawn from the standard-normal base, moved at every step
+        by the stationary AR(1) with coefficient kernel_phi when given."""
         if theta <= 0:
             raise ValueError("theta must be positive")
         if policy_uses_walk(policy):
@@ -58,13 +58,11 @@ class UrnEnsemble:
         # Age slots: [current batch, 1 ago, ..., window ago, overflow]; a
         # single slot suffices when no sliding window can ever fire.
         self._depth = self._window + 2 if self._window else 1
-        B = max(init_columns, 8)
+        B = 16  # initial columns; `_ensure_capacity` grows them on demand
         self._slots = [np.zeros((self.R, B), dtype=np.int64) for _ in range(self._depth)]
         self._agg = np.zeros((self.R, B), dtype=np.int64)
         self._rows = np.arange(self.R)
         self.track_locations = track_locations
-        self.base_mean = float(base_mean)
-        self.base_scale = float(base_scale)
         self.kernel_phi = kernel_phi
         self._loc = np.zeros((self.R, B), dtype=np.float64) if track_locations else None
 
@@ -160,11 +158,7 @@ class UrnEnsemble:
         if self._loc is not None and self.kernel_phi is not None:
             phi = self.kernel_phi
             noise = rng.normal(0.0, 1.0, size=self._loc.shape)
-            self._loc = (
-                self.base_mean
-                + phi * (self._loc - self.base_mean)
-                + np.sqrt(1.0 - phi * phi) * self.base_scale * noise
-            )
+            self._loc = phi * self._loc + np.sqrt(1.0 - phi * phi) * noise
         self._ensure_capacity(n)
         agg = self._agg
         current = self._slots[0]
@@ -178,7 +172,7 @@ class UrnEnsemble:
             free = (agg == 0).argmax(axis=1)
             col = np.where(fresh, free, np.minimum(col, self.columns - 1))
             if self._loc is not None:
-                draws = rng.normal(self.base_mean, self.base_scale, size=self.R)
+                draws = rng.normal(0.0, 1.0, size=self.R)
                 rows = self._rows[fresh]
                 self._loc[rows, col[fresh]] = draws[fresh]
             agg[self._rows, col] += 1
@@ -194,12 +188,11 @@ class UrnEnsemble:
 
     def predictive_mean(self) -> np.ndarray:
         """Mean of the urn-induced predictive: boxes weighted m_k/(M+theta)
-        at their locations plus theta/(M+theta) at the base mean."""
+        at their locations plus theta/(M+theta) at the base mean, 0."""
         if self._loc is None:
             raise ValueError("ensemble built without track_locations")
         total = self._agg.sum(axis=1)
-        num = (self._agg * self._loc).sum(axis=1) + self.theta * self.base_mean
-        return num / (total + self.theta)
+        return (self._agg * self._loc).sum(axis=1) / (total + self.theta)
 
 
 def batch_partition_keys(ids: np.ndarray) -> np.ndarray:

@@ -193,12 +193,16 @@ class MCMCState:
         canonicalize: bool = True,
         rng: np.random.Generator | None = None,
     ) -> "MCMCState":
+        """State from allocation and death tables; static and AR1 modes
+        draw the box locations from `rng`, which they require."""
         T = len(c)
         n = len(c[0])
         state = cls(
             T, n, theta, rho,
             observations=observations, model=model, mode=mode, kernel=kernel,
         )
+        if state.mode != "collapsed" and rng is None:
+            raise ValueError(f"{state.mode} mode draws box locations: from_tables needs an rng")
         next_label = max(max(row) for row in c) + 1
         state._load_tables([list(row) for row in c], [list(row) for row in d], next_label)
         if canonicalize:
@@ -206,7 +210,7 @@ class MCMCState:
                 while (gap := _first_gap(state, lab)) is not None:
                     relabel(state, lab, gap)
         if state.mode != "collapsed":
-            state._init_locations(rng if rng is not None else np.random.default_rng())
+            state._init_locations(rng)
         return state
 
     def _load_tables(self, c, d, next_label):

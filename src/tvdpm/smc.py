@@ -24,7 +24,7 @@ from scipy.special import logsumexp
 from .kernels import GaussianAR1, StaticKernel
 from .models import GaussianModel, KnownVarGaussianModel, ObservationBatch, normal_logpdf, stats_of
 from .partitions import sample_log_categorical
-from .urn import UrnState, apply_policy, policy_window
+from .urn import UrnState, apply_policy
 
 __all__ = [
     "RhoWalk",
@@ -97,10 +97,6 @@ class Particle:
     def copy(self) -> "Particle":
         return Particle(urn=self.urn.copy(), locations=dict(self.locations), rho=self.rho)
 
-    @property
-    def total_mass(self) -> int:
-        return self.urn.total_mass
-
 
 class DegeneracyError(RuntimeError):
     """All particles reached zero weight: the model cannot explain the batch."""
@@ -116,7 +112,6 @@ class ParticlePopulation:
     log_weights: np.ndarray
     rngs: list[np.random.Generator]
     resample_rng: np.random.Generator
-    time: int = 0
 
     @property
     def n(self) -> int:
@@ -130,10 +125,9 @@ def init_particles(config: FilterConfig, rng: np.random.Generator) -> ParticlePo
     """N particles with empty urns and equal weights; one spawned RNG stream
     per particle slot plus one for resampling."""
     streams = rng.spawn(config.n_particles + 1)
-    retain = policy_window(config.policy) > 0
     particles = [
         Particle(
-            urn=UrnState.empty(config.theta, retain_ages=retain),
+            urn=UrnState.for_policy(config.theta, config.policy),
             locations={},
             rho=config.rho_walk.rho0 if config.rho_walk else None,
         )
@@ -160,30 +154,26 @@ def systematic_indices(weights: np.ndarray, rng: np.random.Generator) -> np.ndar
     return np.searchsorted(np.cumsum(weights), positions, side="right").clip(0, n - 1)
 
 
-def resample(population: ParticlePopulation, rng: np.random.Generator | None = None) -> None:
-    """Systematic resampling in place; weights reset to 1/N.  Particle slots
-    keep their RNG streams, only states are copied."""
-    rng = rng if rng is not None else population.resample_rng
-    idx = systematic_indices(population.weights(), rng)
+def resample(population: ParticlePopulation) -> None:
+    """Systematic resampling in place, drawn from the population's resampling
+    stream; weights reset to 1/N.  Particle slots keep their RNG streams,
+    only states are copied."""
+    idx = systematic_indices(population.weights(), population.resample_rng)
     population.particles = [population.particles[i].copy() for i in idx]
     population.log_weights = np.full(population.n, -math.log(population.n))
 
 
-def _kernel_is_static(kernel) -> bool:
-    return isinstance(kernel, StaticKernel)
-
-
 def _propose_batch(
-    boxes: dict[int, int],
+    urn: UrnState,
     locations: dict[int, object],
-    next_label: int,
     values,
     model,
-    theta: float,
     conjugate: bool,
     rng: np.random.Generator,
 ):
-    """Sequentially assign each observation to an alive box or a new one.
+    """Sequentially assign each observation to an alive box or a new one,
+    adding it to `urn` (the post-deletion state) as it goes; the urn ends
+    one time step on.
 
     Returns (assignments, newborn stats, log Pr(c|m) - log q(c)).  Scores for
     the conjugate proposal are (box mass) x likelihood at the box's current
@@ -191,46 +181,39 @@ def _propose_batch(
     of the box's within-batch observations for boxes opened this batch; the
     new-box score is theta x the prior predictive.
     """
-    labels = list(boxes)
-    masses = [float(boxes[l]) for l in labels]
-    locs = [locations[l] for l in labels]
     newborn: dict[int, list] = {}
     assignments: list[int] = []
     log_prior_minus_q = 0.0
     for z in values:
-        total = sum(masses)
+        labels = list(urn.boxes)
         log_scores = []
-        # survivors / within-batch boxes
-        for j, lab in enumerate(labels):
-            lm = math.log(masses[j])
+        for lab in labels:
+            lm = math.log(urn.boxes[lab])
             if conjugate:
-                if locs[j] is not None:
-                    lm += model.log_likelihood(z, locs[j])
-                else:
+                if lab in newborn:
                     lm += model.predictive_logp(newborn[lab], z)
+                else:
+                    lm += model.log_likelihood(z, locations[lab])
             log_scores.append(lm)
-        new_score = math.log(theta)
+        new_score = math.log(urn.theta)
         if conjugate:
             new_score += model.predictive_logp(model.empty_stats(), z)
         log_scores.append(new_score)
         pick, q = sample_log_categorical(log_scores, rng)
-        log_q = math.log(q)
+        log_norm = math.log(urn.total_mass + urn.theta)
         if pick == len(labels):
-            lab = next_label
-            next_label += 1
-            labels.append(lab)
-            masses.append(1.0)
-            locs.append(None)
+            lab = urn.next_label
             newborn[lab] = stats_of(model, [z])
-            log_prior = math.log(theta) - math.log(total + theta)
+            log_prior = math.log(urn.theta) - log_norm
         else:
             lab = labels[pick]
-            log_prior = math.log(masses[pick]) - math.log(total + theta)
-            masses[pick] += 1.0
-            if locs[pick] is None:
+            log_prior = math.log(urn.boxes[lab]) - log_norm
+            if lab in newborn:
                 model.stats_add(newborn[lab], z)
+        urn.add_unit(lab)
         assignments.append(lab)
-        log_prior_minus_q += log_prior - log_q
+        log_prior_minus_q += log_prior - math.log(q)
+    urn.time += 1
     return assignments, newborn, log_prior_minus_q
 
 
@@ -240,42 +223,25 @@ def advance(
     model,
     kernel,
     config: FilterConfig,
-    *,
-    debug: bool = False,
 ) -> dict:
     """One filtering step over the whole population; returns step diagnostics
-    {"t", "ess", "resampled"} plus, with debug, the raw per-particle weight
-    increments and allocations.  Raises DegeneracyError if every particle's
+    {"t", "ess", "resampled"}.  Raises DegeneracyError if every particle's
     weight vanishes."""
     conjugate = config.proposal == "conjugate"
-    static = _kernel_is_static(kernel)
+    static = isinstance(kernel, StaticKernel)
     if not static and not isinstance(model, KnownVarGaussianModel):
         raise ValueError("non-static kernels are supported for the known-variance model only")
     n_new = np.empty(population.n)
-    debug_assignments: list[list[int]] = []
     for i, particle in enumerate(population.particles):
         rng = population.rngs[i]
-        log_inc = 0.0
         if config.rho_walk is not None:
             particle.rho = config.rho_walk.sample(particle.rho, rng)
         urn = apply_policy(particle.urn, config.policy, rng, particle.rho)
         survivors = set(urn.boxes)
         locations = {lab: particle.locations[lab] for lab in survivors}
-        assignments, newborn, log_pq = _propose_batch(
-            urn.boxes,
-            locations,
-            urn.next_label,
-            batch.values,
-            model,
-            config.theta,
-            conjugate,
-            rng,
+        assignments, newborn, log_inc = _propose_batch(
+            urn, locations, batch.values, model, conjugate, rng
         )
-        log_inc += log_pq
-        # commit allocations to the urn state
-        for lab in assignments:
-            urn.add_unit(lab)
-        urn.time += 1
         # locations: newborn boxes from the conjugate posterior (or the base
         # under the prior proposal); static survivors keep their value with
         # unit ratio, AR1 survivors move by the kernel (used boxes through
@@ -307,23 +273,16 @@ def advance(
         particle.urn = urn
         particle.locations = locations
         n_new[i] = log_inc
-        if debug:
-            debug_assignments.append(list(assignments))
     population.log_weights = population.log_weights + n_new
     norm = logsumexp(population.log_weights)
     if not np.isfinite(norm):
         raise DegeneracyError(batch.time)
     population.log_weights = population.log_weights - norm
-    population.time = batch.time
     n_eff = ess(population.weights())
     resampled = n_eff <= config.ess_threshold_fraction * population.n
     if resampled:
         resample(population)
-    info = {"t": batch.time, "ess": n_eff, "resampled": resampled}
-    if debug:
-        info["log_increments"] = n_new
-        info["assignments"] = debug_assignments
-    return info
+    return {"t": batch.time, "ess": n_eff, "resampled": resampled}
 
 
 def _ar1_posterior_step(kernel: GaussianAR1, model, u_prev, obs, rng):
@@ -348,9 +307,6 @@ class DensityEstimate:
     grid: np.ndarray
     values: np.ndarray
 
-    def integral(self) -> float:
-        return float(np.trapezoid(self.values, self.grid))
-
 
 def estimate_density(population: ParticlePopulation, grid: np.ndarray, model) -> DensityEstimate:
     """Posterior-mean predictive density on a grid: per particle, alive boxes
@@ -368,8 +324,7 @@ def estimate_density(population: ParticlePopulation, grid: np.ndarray, model) ->
     w_box, means, varis = [], [], []
     base_w = 0.0
     for w, particle in zip(weights, population.particles):
-        total = particle.total_mass
-        denom = total + theta
+        denom = particle.urn.total_mass + theta
         base_w += w * theta / denom
         for lab, m in particle.urn.boxes.items():
             mu, var = comp(particle.locations[lab])
@@ -387,7 +342,7 @@ def estimate_density(population: ParticlePopulation, grid: np.ndarray, model) ->
 
 def estimate_alive_mass(population: ParticlePopulation) -> float:
     """Posterior-mean total alive allocation mass."""
-    return float(sum(w * p.total_mass for w, p in zip(population.weights(), population.particles)))
+    return float(sum(w * p.urn.total_mass for w, p in zip(population.weights(), population.particles)))
 
 
 def estimate_rho(population: ParticlePopulation) -> float:
@@ -402,12 +357,10 @@ def run_filter(
     kernel,
     config: FilterConfig,
     rng: np.random.Generator,
-    *,
-    with_density: bool | None = None,
 ):
-    """Filter a whole observation stream, yielding one record per step."""
+    """Filter a whole observation stream, yielding one record per step; the
+    record carries the density estimate when the config has a grid."""
     population = init_particles(config, rng)
-    emit_density = config.grid is not None if with_density is None else with_density
     for batch in batches:
         info = advance(population, batch, model, kernel, config)
         record = {
@@ -418,7 +371,7 @@ def run_filter(
         }
         if config.rho_walk is not None:
             record["rho_post"] = estimate_rho(population)
-        if emit_density:
+        if config.grid is not None:
             est = estimate_density(population, config.grid, model)
             record["density"] = {
                 "grid": [float(x) for x in est.grid],

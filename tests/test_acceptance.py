@@ -188,7 +188,7 @@ def test_criterion_05_smc_exact_baseline():
         n_particles=500, theta=0.01, policy=UniformDeletion(1.0), proposal="conjugate"
     )
     pop = None
-    for _rec, pop in run_filter(batches, model, StaticKernel(), cfg, rng, with_density=False):
+    for _rec, pop in run_filter(batches, model, StaticKernel(), cfg, rng):
         pass
     est = estimate_density(pop, grid, model)
     stats = model.empty_stats()
@@ -207,7 +207,7 @@ def test_criterion_05_smc_exact_baseline():
     assert elapsed < 60.0
 
 
-def _scaled_experiment(filter_seed, data_seed, with_density):
+def _scaled_experiment(filter_seed, data_seed, density):
     cfg_stream = DENSITY_PRESETS["paper-4.1-scaled"]
     stream = list(gen_density_data(cfg_stream, np.random.default_rng(data_seed)))
     batches = [ObservationBatch(r["t"], tuple(r["values"])) for r in stream]
@@ -220,16 +220,14 @@ def _scaled_experiment(filter_seed, data_seed, with_density):
         policy=MixturePolicy(0.98, UniformDeletion(None), SizeBiasedDeletion()),
         proposal="conjugate",
         rho_walk=RhoWalk(a_rho=1000.0, rho0=0.9),
-        grid=grid if with_density else None,
+        grid=grid if density else None,
     )
     rng = np.random.default_rng(filter_seed)
     l1, alive = {}, {}
-    for rec, _pop in run_filter(
-        batches, model, StaticKernel(), fc, rng, with_density=with_density
-    ):
+    for rec, _pop in run_filter(batches, model, StaticKernel(), fc, rng):
         t = rec["t"]
         alive[t] = rec["n_alive"]
-        if with_density:
+        if density:
             est = np.asarray(rec["density"]["values"])
             l1[t] = float(np.trapezoid(np.abs(est - mixture_density(grid, truths[t])), grid))
     return l1, alive
@@ -240,14 +238,14 @@ def test_criterion_06_scaled_density_experiment():
     20-step burn-ins; (b) alive mass drops right after the first abrupt
     change (median over 10 seeds); both within 5 minutes."""
     start = time.time()
-    l1, _ = _scaled_experiment(7, 1000, with_density=True)
+    l1, _ = _scaled_experiment(7, 1000, density=True)
     regime_means = [
         float(np.mean([l1[t] for t in range(a + 20, b + 1)]))
         for (a, b) in [(1, 100), (101, 200), (201, 300)]
     ]
     drops = []
     for s in range(10):
-        _, alive = _scaled_experiment(200 + s, 1000, with_density=False)
+        _, alive = _scaled_experiment(200 + s, 1000, density=False)
         drops.append(alive[105] - alive[100])
     median_drop = float(np.median(drops))
     elapsed = time.time() - start

@@ -98,8 +98,12 @@ def test_predictive_mean_single_box(rng):
 
 
 def test_column_growth_under_pressure(rng):
-    # tiny initial capacity must transparently grow/compact
-    ens = UrnEnsemble(50, 5.0, UniformDeletion(0.2), init_columns=8)
+    # a batch wider than the 16 initial columns must transparently grow, and
+    # later batches compact into the grown layout
+    ens = UrnEnsemble(50, 5.0, UniformDeletion(0.2))
+    assert ens.columns == 16
+    ens.step(20, rng)
+    assert ens.columns >= 20 and (ens.total_mass() == 20).all()
     for _ in range(30):
         ens.step(6, rng)
     assert (ens.total_mass() >= 6).all()

@@ -345,6 +345,22 @@ class TestLocations:
         assert abs(draws.mean() - 1.0) < 3 * se
         assert draws.var() == pytest.approx(0.5, rel=0.05)
 
+    @pytest.mark.parametrize("mode", ["static", "ar1"])
+    def test_from_tables_locations_follow_rng(self, mode):
+        base = GaussianKnownVar(0.0, 1.0)
+        kwargs = dict(
+            observations=[(0.5,), (1.0,)],
+            model=KnownVarGaussianModel(base, 1.0),
+            mode=mode,
+            kernel=GaussianAR1(0.8, base) if mode == "ar1" else None,
+        )
+        tables = ([[1], [1]], [[2], [2]], 1.0, 0.5)
+        first = MCMCState.from_tables(*tables, rng=np.random.default_rng(3), **kwargs)
+        again = MCMCState.from_tables(*tables, rng=np.random.default_rng(3), **kwargs)
+        assert first.locs == again.locs
+        with pytest.raises(ValueError, match="rng"):
+            MCMCState.from_tables(*tables, **kwargs)
+
     def test_ar1_no_data_marginal_stays_base(self, rng):
         # prior-invariance of the location bridge moves
         base = GaussianKnownVar(0.0, 1.0)

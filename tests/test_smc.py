@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from tvdpm.kernels import GaussianAR1, GaussianKnownVar, NormalInverseGamma, StaticKernel
 from tvdpm.models import GaussianModel, KnownVarGaussianModel, ObservationBatch
@@ -22,7 +23,15 @@ from tvdpm.smc import (
     run_filter,
     systematic_indices,
 )
-from tvdpm.urn import MixturePolicy, SizeBiasedDeletion, UniformDeletion, UrnState, apply_policy
+from tvdpm.urn import (
+    ComposePolicy,
+    MixturePolicy,
+    SizeBiasedDeletion,
+    SlidingWindow,
+    UniformDeletion,
+    UrnState,
+    apply_policy,
+)
 
 NIG = NormalInverseGamma(0.0, 0.1, 2.0, 1.0)
 
@@ -166,13 +175,21 @@ class TestAdvance:
         pop = init_particles(cfg, rng)
         model = GaussianModel(NIG)
         batch = ObservationBatch(1, (0.4, -0.2))
-        info = advance(pop, batch, model, StaticKernel(), cfg, debug=True)
-        for i, particle in enumerate(pop.particles):
-            expected = sum(
-                model.log_likelihood(z, particle.locations[lab])
-                for z, lab in zip(batch.values, info["assignments"][i])
+        advance(pop, batch, model, StaticKernel(), cfg)
+        expected = []
+        for particle in pop.particles:
+            # from an empty urn the first value opens box 1 and the second
+            # joins it or opens box 2
+            labels = sorted(particle.urn.boxes)
+            assert particle.urn.total_mass == 2 and labels[0] == 1
+            expected.append(
+                sum(
+                    model.log_likelihood(z, particle.locations[lab])
+                    for z, lab in zip(batch.values, [labels[0], labels[-1]])
+                )
             )
-            assert info["log_increments"][i] == pytest.approx(expected, abs=1e-10)
+        expected = np.array(expected)
+        assert np.allclose(pop.log_weights, expected - logsumexp(expected), rtol=0, atol=1e-10)
 
     def test_weights_normalized_after_advance(self, rng):
         cfg = FilterConfig(n_particles=50, theta=1.0, policy=UniformDeletion(0.9))
@@ -192,6 +209,26 @@ class TestAdvance:
             advance(pop, ObservationBatch(t, (0.5, -1.0)), model, StaticKernel(), cfg)
             for p in pop.particles:
                 assert set(p.locations) == set(p.urn.boxes)
+
+    def test_particle_urns_follow_batches(self, rng):
+        # the proposal adds each unit to the particle's own urn: ages and
+        # counts agree, and the window keeps units born at t-2 .. t
+        cfg = FilterConfig(
+            n_particles=10,
+            theta=1.0,
+            policy=ComposePolicy([SlidingWindow(2), UniformDeletion(0.8)]),
+        )
+        pop = init_particles(cfg, rng)
+        model = GaussianModel(NIG)
+        for t in range(1, 9):
+            advance(pop, ObservationBatch(t, (0.5 * t, -1.0)), model, StaticKernel(), cfg)
+            for p in pop.particles:
+                urn = p.urn
+                assert urn.time == t
+                assert set(urn.births) == set(urn.boxes)
+                for lab, cells in urn.births.items():
+                    assert sum(cells.values()) == urn.boxes[lab]
+                    assert all(t - 2 <= birth <= t for birth in cells)
 
     def test_degeneracy_detected(self, rng):
         class HopelessModel(KnownVarGaussianModel):
@@ -257,7 +294,7 @@ class TestEstimators:
         grid = np.linspace(-30, 30, 1201)
         est = estimate_density(pop, grid, model)
         assert np.allclose(est.values, model.predictive_grid(model.empty_stats(), grid))
-        assert est.integral() == pytest.approx(1.0, abs=0.02)
+        assert np.trapezoid(est.values, est.grid) == pytest.approx(1.0, abs=0.02)
 
     def test_density_huge_box_dominates(self):
         model = GaussianModel(NIG)
@@ -286,7 +323,7 @@ class TestEstimators:
             advance(pop, ObservationBatch(t, (float(z),)), model, StaticKernel(), cfg)
         grid = np.linspace(-10, 10, 400)
         est = estimate_density(pop, grid, model)
-        assert abs(est.integral() - 1.0) < 0.02
+        assert abs(np.trapezoid(est.values, est.grid) - 1.0) < 0.02
 
 
 class TestExactFilterAgreement:
@@ -296,9 +333,9 @@ class TestExactFilterAgreement:
         data = np.random.default_rng(3).normal(0.3, 1.0, size=20)
         batches = [ObservationBatch(t, (float(z),)) for t, z in enumerate(data, 1)]
         grid = np.linspace(-10, 10, 200)
-        cfg = FilterConfig(n_particles=200, theta=0.01, policy=UniformDeletion(1.0), grid=grid)
+        cfg = FilterConfig(n_particles=200, theta=0.01, policy=UniformDeletion(1.0))
         pop = None
-        for _rec, pop in run_filter(batches, model, StaticKernel(), cfg, rng, with_density=False):
+        for _rec, pop in run_filter(batches, model, StaticKernel(), cfg, rng):
             pass
         est = estimate_density(pop, grid, model)
         stats = model.empty_stats()
