@@ -50,6 +50,27 @@ def _policy_from_string(text: str):
     return policy
 
 
+def _checked(convert, ok, requirement):
+    """An argparse `type=` that converts the flag's text and rejects values
+    failing `ok`; argparse names the flag in the usage error (exit 2)."""
+
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_SEED = _checked(int, lambda x: x >= 0, "a non-negative integer")
+_POSITIVE_INT = _checked(int, lambda x: x >= 1, "a positive integer")
+_POSITIVE = _checked(float, lambda x: x > 0, "positive")
+_PROBABILITY = _checked(float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
+_AR1_PHI = _checked(float, lambda x: -1.0 <= x <= 1.0, "in [-1, 1]")
+
+
 def _open_out(path):
     if path in (None, "-"):
         return sys.stdout
@@ -226,46 +247,46 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen-data", help="emit a synthetic observation stream")
     g.add_argument("--preset", choices=sorted(datagen.DENSITY_PRESETS) + ["topic-synthetic"])
     g.add_argument("--stream-config", help="custom density stream config (JSON)")
-    g.add_argument("--seed", type=int, required=True)
+    g.add_argument("--seed", type=_SEED, required=True)
     g.add_argument("--out", default="-")
     g.add_argument("--vocab-out", help="vocabulary file for topic-synthetic")
     g.set_defaults(func=cmd_gen_data)
 
     s = sub.add_parser("simulate", help="run a deletion-urn trajectory")
-    s.add_argument("--theta", type=float, required=True)
+    s.add_argument("--theta", type=_POSITIVE, required=True)
     s.add_argument("--policy", required=True, help='deletion policy JSON, e.g. {"type":"uniform","rho":0.7}')
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_POSITIVE_INT, required=True)
     s.add_argument("--steps", type=int, required=True)
-    s.add_argument("--seed", type=int, required=True)
+    s.add_argument("--seed", type=_SEED, required=True)
     s.add_argument("--out", default="-")
     s.set_defaults(func=cmd_simulate)
 
     v = sub.add_parser("validate", help="run the statistical validation suite")
     v.add_argument("--quick", action="store_true")
-    v.add_argument("--seed", type=int, default=20240901)
+    v.add_argument("--seed", type=_SEED, default=20240901)
     v.add_argument("--out", help="write the JSON report here")
     v.set_defaults(func=cmd_validate)
 
     f = sub.add_parser("smc", help="online inference on an observation stream")
     f.add_argument("--config", required=True)
-    f.add_argument("--seed", type=int)
+    f.add_argument("--seed", type=_SEED)
     f.add_argument("--out")
     f.set_defaults(func=cmd_smc)
 
     m = sub.add_parser("mcmc", help="batch inference on an observation stream")
     m.add_argument("--config", required=True)
-    m.add_argument("--seed", type=int)
+    m.add_argument("--seed", type=_SEED)
     m.add_argument("--out")
     m.set_defaults(func=cmd_mcmc)
 
     c = sub.add_parser("correlation", help="correlation-decay curves as CSV")
-    c.add_argument("--theta", type=float, required=True)
-    c.add_argument("--rho", type=float, action="append", required=True)
+    c.add_argument("--theta", type=_POSITIVE, required=True)
+    c.add_argument("--rho", type=_PROBABILITY, action="append", required=True)
     c.add_argument("--taus", default="0,1,5,10")
-    c.add_argument("--n-mc", type=int, default=10_000)
+    c.add_argument("--n-mc", type=_POSITIVE_INT, default=10_000)
     c.add_argument("--burn-in", type=int, default=200)
-    c.add_argument("--kernel-phi", type=float, default=None)
-    c.add_argument("--seed", type=int, required=True)
+    c.add_argument("--kernel-phi", type=_AR1_PHI, default=None)
+    c.add_argument("--seed", type=_SEED, required=True)
     c.add_argument("--out", default="-")
     c.set_defaults(func=cmd_correlation)
     return p

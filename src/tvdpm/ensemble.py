@@ -50,6 +50,8 @@ class UrnEnsemble:
             raise ValueError("theta must be positive")
         if policy_uses_walk(policy):
             raise ValueError('the rho walk ("rho": "walk") is for smc only')
+        if kernel_phi is not None and not -1.0 <= kernel_phi <= 1.0:
+            raise ValueError("kernel_phi must lie in [-1, 1]")
         self.R = n_replicates
         self.theta = float(theta)
         self.policy = policy

@@ -315,13 +315,6 @@ class TopicModel:
             math.log(counts[w] + self._alpha) - math.log(total + self.base.theta_v)
         )
 
-    def base_log_density(self, y) -> float:
-        a = self._alpha
-        y = np.asarray(y, dtype=float)
-        if np.any(y <= 0):
-            return NEG_INF
-        return float(gammaln(self.base.theta_v) - self.K * gammaln(a) + (a - 1.0) * np.log(y).sum())
-
 
 def stats_of(model, observations):
     """Sufficient statistics of `observations` under `model`, added in order."""

@@ -22,7 +22,14 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .kernels import GaussianAR1, StaticKernel
-from .models import GaussianModel, KnownVarGaussianModel, ObservationBatch, normal_logpdf, stats_of
+from .models import (
+    GaussianModel,
+    KnownVarGaussianModel,
+    ObservationBatch,
+    TopicModel,
+    normal_logpdf,
+    stats_of,
+)
 from .partitions import sample_log_categorical
 from .urn import UrnState, apply_policy
 
@@ -167,6 +174,7 @@ def _propose_batch(
     urn: UrnState,
     locations: dict[int, object],
     values,
+    new_scores,
     model,
     conjugate: bool,
     rng: np.random.Generator,
@@ -175,46 +183,55 @@ def _propose_batch(
     adding it to `urn` (the post-deletion state) as it goes; the urn ends
     one time step on.
 
-    Returns (assignments, newborn stats, log Pr(c|m) - log q(c)).  Scores for
-    the conjugate proposal are (box mass) x likelihood at the box's current
-    parameter for boxes that already have one, and the collapsed predictive
-    of the box's within-batch observations for boxes opened this batch; the
-    new-box score is theta x the prior predictive.
+    Returns (assignments, newborn stats, survivor log-likelihoods,
+    log Pr(c|m) - log q(c)).  Scores for the conjugate proposal are (box
+    mass) x likelihood at the box's current parameter for boxes that
+    already have one, and the collapsed predictive of the box's
+    within-batch observations for boxes opened this batch; `new_scores`
+    holds each observation's new-box score (log theta, plus the prior
+    predictive under the conjugate proposal).  The survivor log-likelihood
+    of an observation is the likelihood the conjugate proposal scored its
+    box with when that box already had a parameter, else None.
     """
     newborn: dict[int, list] = {}
     assignments: list[int] = []
+    survivor_ll: list[float | None] = []
     log_prior_minus_q = 0.0
-    for z in values:
+    log_theta = math.log(urn.theta)
+    for z, new_score in zip(values, new_scores):
         labels = list(urn.boxes)
         log_scores = []
-        for lab in labels:
-            lm = math.log(urn.boxes[lab])
+        lls = []
+        for lab, m in urn.boxes.items():
+            lm = math.log(m)
+            ll = None
             if conjugate:
                 if lab in newborn:
                     lm += model.predictive_logp(newborn[lab], z)
                 else:
-                    lm += model.log_likelihood(z, locations[lab])
+                    ll = model.log_likelihood(z, locations[lab])
+                    lm += ll
             log_scores.append(lm)
-        new_score = math.log(urn.theta)
-        if conjugate:
-            new_score += model.predictive_logp(model.empty_stats(), z)
+            lls.append(ll)
         log_scores.append(new_score)
         pick, q = sample_log_categorical(log_scores, rng)
         log_norm = math.log(urn.total_mass + urn.theta)
         if pick == len(labels):
             lab = urn.next_label
             newborn[lab] = stats_of(model, [z])
-            log_prior = math.log(urn.theta) - log_norm
+            log_prior = log_theta - log_norm
+            survivor_ll.append(None)
         else:
             lab = labels[pick]
             log_prior = math.log(urn.boxes[lab]) - log_norm
             if lab in newborn:
                 model.stats_add(newborn[lab], z)
+            survivor_ll.append(lls[pick])
         urn.add_unit(lab)
         assignments.append(lab)
         log_prior_minus_q += log_prior - math.log(q)
     urn.time += 1
-    return assignments, newborn, log_prior_minus_q
+    return assignments, newborn, survivor_ll, log_prior_minus_q
 
 
 def advance(
@@ -231,6 +248,13 @@ def advance(
     static = isinstance(kernel, StaticKernel)
     if not static and not isinstance(model, KnownVarGaussianModel):
         raise ValueError("non-static kernels are supported for the known-variance model only")
+    # the new-box score depends on the observation only
+    log_theta = math.log(config.theta)
+    if conjugate:
+        empty = model.empty_stats()
+        new_scores = [log_theta + model.predictive_logp(empty, z) for z in batch.values]
+    else:
+        new_scores = [log_theta] * batch.n
     n_new = np.empty(population.n)
     for i, particle in enumerate(population.particles):
         rng = population.rngs[i]
@@ -239,8 +263,8 @@ def advance(
         urn = apply_policy(particle.urn, config.policy, rng, particle.rho)
         survivors = set(urn.boxes)
         locations = {lab: particle.locations[lab] for lab in survivors}
-        assignments, newborn, log_inc = _propose_batch(
-            urn, locations, batch.values, model, conjugate, rng
+        assignments, newborn, survivor_ll, log_inc = _propose_batch(
+            urn, locations, batch.values, new_scores, model, conjugate, rng
         )
         # locations: newborn boxes from the conjugate posterior (or the base
         # under the prior proposal); static survivors keep their value with
@@ -267,9 +291,12 @@ def advance(
                 else:
                     u = kernel.transition(prev, rng)
                 locations[lab] = u
-        # data likelihood at the final locations
-        for z, lab in zip(batch.values, assignments):
-            log_inc += model.log_likelihood(z, locations[lab])
+        # data likelihood at the final locations; a static survivor's was
+        # already computed by the proposal
+        for z, lab, ll in zip(batch.values, assignments, survivor_ll):
+            if ll is None or not static:
+                ll = model.log_likelihood(z, locations[lab])
+            log_inc += ll
         particle.urn = urn
         particle.locations = locations
         n_new[i] = log_inc
@@ -308,35 +335,43 @@ class DensityEstimate:
     values: np.ndarray
 
 
+def _density_component(model):
+    """Map a box parameter to the (mean, variance) of its Gaussian kernel;
+    raises ValueError for models without one."""
+    if isinstance(model, GaussianModel):
+        return lambda u: u
+    if isinstance(model, KnownVarGaussianModel) and not model._atomic:
+        var = model.obs_sigma ** 2
+        return lambda u: (u, var)
+    raise ValueError("density estimation needs a Gaussian observation model")
+
+
 def estimate_density(population: ParticlePopulation, grid: np.ndarray, model) -> DensityEstimate:
     """Posterior-mean predictive density on a grid: per particle, alive boxes
     weighted m_k/(M+theta) at their current parameters plus theta/(M+theta)
-    on the base predictive, averaged with the particle weights."""
-    if isinstance(model, GaussianModel):
-        comp = lambda u: (u[0], u[1])
-    elif isinstance(model, KnownVarGaussianModel) and not model._atomic:
-        comp = lambda u: (u, model.obs_sigma ** 2)
-    else:
-        raise ValueError("density estimation needs a Gaussian observation model")
+    on the base predictive, averaged with the particle weights.
+
+    Resampled particles share their ancestor's parameter values, so the
+    box weights are summed per distinct parameter first and each Gaussian
+    kernel is evaluated once."""
+    comp = _density_component(model)
     grid = np.asarray(grid, dtype=float)
-    weights = population.weights()
+    weights = population.weights().tolist()
     theta = population.particles[0].urn.theta
-    w_box, means, varis = [], [], []
+    loc_w: dict[object, float] = {}
     base_w = 0.0
     for w, particle in zip(weights, population.particles):
         denom = particle.urn.total_mass + theta
         base_w += w * theta / denom
+        locations = particle.locations
         for lab, m in particle.urn.boxes.items():
-            mu, var = comp(particle.locations[lab])
-            w_box.append(w * m / denom)
-            means.append(mu)
-            varis.append(var)
+            u = locations[lab]
+            loc_w[u] = loc_w.get(u, 0.0) + w * m / denom
     values = base_w * model.predictive_grid(model.empty_stats(), grid)
-    if w_box:
-        wb = np.asarray(w_box)[:, None]
-        mu = np.asarray(means)[:, None]
-        var = np.asarray(varis)[:, None]
-        values = values + (wb * np.exp(normal_logpdf(grid[None, :], mu, var))).sum(axis=0)
+    if loc_w:
+        mu, var = (np.asarray(col)[:, None] for col in zip(*map(comp, loc_w)))
+        kernels = np.exp(normal_logpdf(grid[None, :], mu, var))
+        values = values + np.fromiter(loc_w.values(), dtype=float, count=len(loc_w)) @ kernels
     return DensityEstimate(grid=grid, values=values)
 
 
@@ -359,7 +394,12 @@ def run_filter(
     rng: np.random.Generator,
 ):
     """Filter a whole observation stream, yielding one record per step; the
-    record carries the density estimate when the config has a grid."""
+    record carries the density estimate when the config has a grid.  Setups
+    the filter cannot run are rejected before the first step."""
+    if isinstance(model, TopicModel) and config.proposal == "conjugate":
+        raise ValueError("the topic model has no conjugate proposal: use proposal='prior'")
+    if config.grid is not None:
+        _density_component(model)
     population = init_particles(config, rng)
     for batch in batches:
         info = advance(population, batch, model, kernel, config)

@@ -193,15 +193,18 @@ def delete_uniform(state: UrnState, rho: float, rng: np.random.Generator) -> Urn
     """Thin every alive unit independently with survival probability rho."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
+    if rho == 1.0 or not state.boxes:
+        return state.copy()
+    if state.births is None:
+        # scalar draws consume the stream exactly as one draw over the
+        # array of counts would, without numpy's per-call array overhead
+        boxes = {}
+        for label, m in state.boxes.items():
+            s = rng.binomial(m, rho)
+            if s:
+                boxes[label] = s
+        return UrnState(theta=state.theta, boxes=boxes, next_label=state.next_label, time=state.time)
     out = state.copy()
-    if rho == 1.0 or not out.boxes:
-        return out
-    if out.births is None:
-        labels = list(out.boxes)
-        counts = np.fromiter((out.boxes[l] for l in labels), dtype=np.int64, count=len(labels))
-        surviving = rng.binomial(counts, rho)
-        out.boxes = {l: int(s) for l, s in zip(labels, surviving) if s > 0}
-        return out
     # age-resolved state: thin each (label, birth-time) cell; binomial
     # splitting makes this the same law as thinning the aggregate
     for label in list(out.boxes):

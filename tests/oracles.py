@@ -342,3 +342,161 @@ def death_time_scores(state, k: int, t: int) -> list[float]:
 def tv(p: dict, q: dict) -> float:
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+
+
+# -- the particle filter's step, density and thinning before they dropped
+# their repeated work, kept verbatim as the references the fast paths are
+# pinned against.
+
+
+def reference_delete_uniform(state, rho, rng):
+    """Uniform thinning of an urn without unit ages: one binomial over the
+    array of box counts."""
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError("rho must lie in [0, 1]")
+    out = state.copy()
+    if rho == 1.0 or not out.boxes:
+        return out
+    assert out.births is None, "the reference covers the state without ages"
+    labels = list(out.boxes)
+    counts = np.fromiter((out.boxes[l] for l in labels), dtype=np.int64, count=len(labels))
+    surviving = rng.binomial(counts, rho)
+    out.boxes = {l: int(s) for l, s in zip(labels, surviving) if s > 0}
+    return out
+
+
+def reference_propose_batch(urn, locations, values, model, conjugate, rng):
+    """Sequential allocation proposal scoring the new box per particle."""
+    from tvdpm.models import stats_of
+    from tvdpm.partitions import sample_log_categorical
+
+    newborn: dict[int, list] = {}
+    assignments: list[int] = []
+    log_prior_minus_q = 0.0
+    for z in values:
+        labels = list(urn.boxes)
+        log_scores = []
+        for lab in labels:
+            lm = math.log(urn.boxes[lab])
+            if conjugate:
+                if lab in newborn:
+                    lm += model.predictive_logp(newborn[lab], z)
+                else:
+                    lm += model.log_likelihood(z, locations[lab])
+            log_scores.append(lm)
+        new_score = math.log(urn.theta)
+        if conjugate:
+            new_score += model.predictive_logp(model.empty_stats(), z)
+        log_scores.append(new_score)
+        pick, q = sample_log_categorical(log_scores, rng)
+        log_norm = math.log(urn.total_mass + urn.theta)
+        if pick == len(labels):
+            lab = urn.next_label
+            newborn[lab] = stats_of(model, [z])
+            log_prior = math.log(urn.theta) - log_norm
+        else:
+            lab = labels[pick]
+            log_prior = math.log(urn.boxes[lab]) - log_norm
+            if lab in newborn:
+                model.stats_add(newborn[lab], z)
+        urn.add_unit(lab)
+        assignments.append(lab)
+        log_prior_minus_q += log_prior - math.log(q)
+    urn.time += 1
+    return assignments, newborn, log_prior_minus_q
+
+
+def reference_advance(population, batch, model, kernel, config) -> dict:
+    """One filtering step that recomputes every likelihood in the weight
+    loop."""
+    from scipy.special import logsumexp
+
+    from tvdpm.kernels import StaticKernel
+    from tvdpm.models import KnownVarGaussianModel
+    from tvdpm.smc import DegeneracyError, _ar1_posterior_step, ess, resample
+    from tvdpm.urn import apply_policy
+
+    conjugate = config.proposal == "conjugate"
+    static = isinstance(kernel, StaticKernel)
+    if not static and not isinstance(model, KnownVarGaussianModel):
+        raise ValueError("non-static kernels are supported for the known-variance model only")
+    n_new = np.empty(population.n)
+    for i, particle in enumerate(population.particles):
+        rng = population.rngs[i]
+        if config.rho_walk is not None:
+            particle.rho = config.rho_walk.sample(particle.rho, rng)
+        urn = apply_policy(particle.urn, config.policy, rng, particle.rho)
+        survivors = set(urn.boxes)
+        locations = {lab: particle.locations[lab] for lab in survivors}
+        assignments, newborn, log_inc = reference_propose_batch(
+            urn, locations, batch.values, model, conjugate, rng
+        )
+        used = set(assignments)
+        for lab, stats in newborn.items():
+            if conjugate:
+                u = model.posterior_sample_from_stats(stats, rng)
+                log_inc += model.base_log_density(u) - model.posterior_log_density(stats, u)
+            else:
+                u = model.posterior_sample_from_stats(model.empty_stats(), rng)
+            locations[lab] = u
+        if not static:
+            for lab in survivors:
+                prev = locations[lab]
+                if lab in used and conjugate:
+                    u, log_ratio = _ar1_posterior_step(
+                        kernel, model, prev,
+                        [z for z, a in zip(batch.values, assignments) if a == lab],
+                        rng,
+                    )
+                    log_inc += log_ratio
+                else:
+                    u = kernel.transition(prev, rng)
+                locations[lab] = u
+        for z, lab in zip(batch.values, assignments):
+            log_inc += model.log_likelihood(z, locations[lab])
+        particle.urn = urn
+        particle.locations = locations
+        n_new[i] = log_inc
+    population.log_weights = population.log_weights + n_new
+    norm = logsumexp(population.log_weights)
+    if not np.isfinite(norm):
+        raise DegeneracyError(batch.time)
+    population.log_weights = population.log_weights - norm
+    n_eff = ess(population.weights())
+    resampled = n_eff <= config.ess_threshold_fraction * population.n
+    if resampled:
+        resample(population)
+    return {"t": batch.time, "ess": n_eff, "resampled": resampled}
+
+
+def reference_density(population, grid, model) -> np.ndarray:
+    """Posterior-mean predictive density with one Gaussian row per
+    (particle, box) component."""
+    from tvdpm.models import GaussianModel, KnownVarGaussianModel, normal_logpdf
+
+    if isinstance(model, GaussianModel):
+        comp = lambda u: (u[0], u[1])
+    elif isinstance(model, KnownVarGaussianModel) and not model._atomic:
+        comp = lambda u: (u, model.obs_sigma ** 2)
+    else:
+        raise ValueError("density estimation needs a Gaussian observation model")
+    grid = np.asarray(grid, dtype=float)
+    weights = population.weights()
+    theta = population.particles[0].urn.theta
+    w_box, means, varis = [], [], []
+    base_w = 0.0
+    for w, particle in zip(weights, population.particles):
+        denom = particle.urn.total_mass + theta
+        base_w += w * theta / denom
+        for lab, m in particle.urn.boxes.items():
+            mu, var = comp(particle.locations[lab])
+            w_box.append(w * m / denom)
+            means.append(mu)
+            varis.append(var)
+    values = base_w * model.predictive_grid(model.empty_stats(), grid)
+    if w_box:
+        wb = np.asarray(w_box)[:, None]
+        mu = np.asarray(means)[:, None]
+        var = np.asarray(varis)[:, None]
+        values = values + (wb * np.exp(normal_logpdf(grid[None, :], mu, var))).sum(axis=0)
+    return values

@@ -70,8 +70,14 @@ def run_cli(args):
     out = io.StringIO()
     err = io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(args)
+        try:
+            code = main(args)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+POLICY = '{"type":"uniform","rho":0.7}'
 
 
 class TestCli:
@@ -254,6 +260,38 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "tau,correlation,rho,theta"
         assert len(lines) == 5
+
+    @pytest.mark.parametrize(
+        "args,flag",
+        [
+            (["gen-data", "--preset", "paper-4.1", "--seed", "-1"], "--seed"),
+            (["simulate", "--theta", "1", "--policy", POLICY, "--n", "1", "--steps", "1", "--seed", "-1"], "--seed"),
+            (["validate", "--quick", "--seed", "-1"], "--seed"),
+            (["smc", "--seed", "-1"], "--seed"),
+            (["mcmc", "--seed", "-1"], "--seed"),
+            (["correlation", "--theta", "1", "--rho", "0.5", "--n-mc", "5", "--seed", "-1"], "--seed"),
+            (["simulate", "--theta", "-1", "--policy", POLICY, "--n", "1", "--steps", "1", "--seed", "0"], "--theta"),
+            (["simulate", "--theta", "1", "--policy", POLICY, "--n", "0", "--steps", "1", "--seed", "0"], "--n"),
+            (["correlation", "--theta", "0", "--rho", "0.5", "--n-mc", "5", "--seed", "2"], "--theta"),
+            (["correlation", "--theta", "1", "--rho", "1.5", "--n-mc", "5", "--seed", "2"], "--rho"),
+            (["correlation", "--theta", "1", "--rho", "0.5", "--n-mc", "0", "--seed", "2"], "--n-mc"),
+            (["correlation", "--theta", "3", "--rho", "0.5", "--kernel-phi", "1.5", "--n-mc", "50",
+              "--burn-in", "5", "--seed", "2"], "--kernel-phi"),
+        ],
+        ids=["gen-data-seed", "simulate-seed", "validate-seed", "smc-seed", "mcmc-seed",
+             "correlation-seed", "simulate-theta", "simulate-n", "correlation-theta",
+             "correlation-rho", "correlation-n-mc", "correlation-kernel-phi"],
+    )
+    def test_bad_numeric_flag_is_usage_error(self, tmp_path, args, flag):
+        # a valid config, so only the flag can be at fault
+        if args[0] == "smc":
+            args = write_stream(tmp_path, [{"t": 1, "values": [0.1]}]) + args[1:]
+        elif args[0] == "mcmc":
+            args = write_corpus(tmp_path, [{"t": 1, "words": [0, 3]}]) + args[1:]
+        code, out, err = run_cli(args + ["--out", str(tmp_path / "o.txt")])
+        assert code == 2
+        assert f"error: argument {flag}: must be" in err
+        assert out == "" and not (tmp_path / "o.txt").exists()
 
     def test_validate_quick_exit_zero(self, tmp_path):
         report = tmp_path / "report.json"

@@ -89,6 +89,13 @@ def test_rho_walk_rejected():
         UrnEnsemble(10, 1.0, MixturePolicy(0.5, UniformDeletion(None), SizeBiasedDeletion()))
 
 
+@pytest.mark.parametrize("phi", [1.5, -1.01])
+def test_kernel_phi_outside_unit_interval_rejected(phi):
+    # sqrt(1 - phi^2) of the AR(1) step would be NaN
+    with pytest.raises(ValueError, match="kernel_phi"):
+        UrnEnsemble(10, 1.0, UniformDeletion(0.5), track_locations=True, kernel_phi=phi)
+
+
 def test_predictive_mean_single_box(rng):
     # after one n=1 step the predictive mean is u/(1+theta) per replica
     ens = UrnEnsemble(200, 3.0, UniformDeletion(1.0), track_locations=True)

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -5,8 +6,16 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from tvdpm.kernels import GaussianAR1, GaussianKnownVar, NormalInverseGamma, StaticKernel
-from tvdpm.models import GaussianModel, KnownVarGaussianModel, ObservationBatch
+import tvdpm.smc
+from tvdpm.kernels import (
+    FiniteAtomic,
+    GaussianAR1,
+    GaussianKnownVar,
+    NormalInverseGamma,
+    StaticKernel,
+    SymmetricDirichlet,
+)
+from tvdpm.models import GaussianModel, KnownVarGaussianModel, ObservationBatch, TopicModel
 from tvdpm.smc import (
     DegeneracyError,
     FilterConfig,
@@ -32,6 +41,8 @@ from tvdpm.urn import (
     UrnState,
     apply_policy,
 )
+
+from .oracles import reference_advance, reference_density
 
 NIG = NormalInverseGamma(0.0, 0.1, 2.0, 1.0)
 
@@ -307,9 +318,6 @@ class TestEstimators:
         assert np.max(np.abs(est.values - target)) < 1e-4
 
     def test_density_rejects_topic_model(self):
-        from tvdpm.kernels import SymmetricDirichlet
-        from tvdpm.models import TopicModel
-
         pop = make_population([particle_with({}, {})], [1.0])
         with pytest.raises(ValueError):
             estimate_density(pop, np.linspace(-1, 1, 5), TopicModel(SymmetricDirichlet(0.5, 4)))
@@ -367,3 +375,129 @@ class TestDeterminism:
             ]
 
         assert one_run() == one_run()
+
+
+class TestRunFilterSetup:
+    """Setups the filter cannot run are rejected before the first step."""
+
+    @pytest.fixture
+    def no_step(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a step was filtered")
+
+        monkeypatch.setattr(tvdpm.smc, "advance", fail)
+
+    def test_topic_model_needs_prior_proposal(self, rng, no_step):
+        model = TopicModel(SymmetricDirichlet(0.5, 4))
+        cfg = FilterConfig(n_particles=3, theta=1.0, policy=UniformDeletion(0.9))
+        with pytest.raises(ValueError, match="proposal='prior'"):
+            next(run_filter([ObservationBatch(1, (0, 3))], model, StaticKernel(), cfg, rng))
+
+    def test_grid_needs_gaussian_density(self, rng, no_step):
+        model = KnownVarGaussianModel(FiniteAtomic((-1.0, 1.0)), 0.5)
+        cfg = FilterConfig(
+            n_particles=3, theta=1.0, policy=UniformDeletion(0.9), grid=np.linspace(-2, 2, 5)
+        )
+        with pytest.raises(ValueError, match="Gaussian observation model"):
+            next(run_filter([ObservationBatch(1, (0.2,))], model, StaticKernel(), cfg, rng))
+
+
+def _assert_same_population(got, want):
+    assert np.array_equal(got.log_weights, want.log_weights)
+    assert got.resample_rng.bit_generator.state == want.resample_rng.bit_generator.state
+    for r_got, r_want in zip(got.rngs, want.rngs, strict=True):
+        assert r_got.bit_generator.state == r_want.bit_generator.state
+    for p_got, p_want in zip(got.particles, want.particles, strict=True):
+        a, b = p_got.urn, p_want.urn
+        assert (a.boxes, a.births, a.next_label, a.time) == (b.boxes, b.births, b.next_label, b.time)
+        assert list(p_got.locations) == list(p_want.locations)
+        for lab, u in p_got.locations.items():
+            assert np.array_equal(u, p_want.locations[lab])
+        assert p_got.rho == p_want.rho
+
+
+def _gaussian_batches(seed, steps=24, n=3):
+    data = np.random.default_rng(seed).normal(0.0, 2.0, size=(steps, n))
+    return [ObservationBatch(t, tuple(float(z) for z in row)) for t, row in enumerate(data, 1)]
+
+
+# name -> (model, kernel, config, batches): every filter setup the fast step
+# must reproduce exactly
+_STEP_SETUPS = {
+    "nig-walk-size-biased": lambda: (
+        GaussianModel(NIG),
+        StaticKernel(),
+        FilterConfig(
+            n_particles=30,
+            theta=2.0,
+            policy=MixturePolicy(0.9, UniformDeletion(None), SizeBiasedDeletion()),
+            rho_walk=RhoWalk(200.0, 0.8),
+        ),
+        _gaussian_batches(11),
+    ),
+    "known-var-ar1-conjugate": lambda: (
+        KnownVarGaussianModel(GaussianKnownVar(0.0, 2.0), 0.7),
+        GaussianAR1(0.8, GaussianKnownVar(0.0, 2.0)),
+        FilterConfig(n_particles=30, theta=1.5, policy=UniformDeletion(0.85)),
+        _gaussian_batches(12),
+    ),
+    "window-uniform-prior": lambda: (
+        GaussianModel(NIG),
+        StaticKernel(),
+        FilterConfig(
+            n_particles=30,
+            theta=1.0,
+            policy=ComposePolicy([SlidingWindow(3), UniformDeletion(0.8)]),
+            proposal="prior",
+        ),
+        _gaussian_batches(13),
+    ),
+    "atomic-base": lambda: (
+        KnownVarGaussianModel(FiniteAtomic((-2.0, 0.0, 2.0), (0.3, 0.3, 0.4)), 0.8),
+        StaticKernel(),
+        FilterConfig(n_particles=30, theta=1.0, policy=SizeBiasedDeletion(2)),
+        _gaussian_batches(14),
+    ),
+    "topic-prior": lambda: (
+        TopicModel(SymmetricDirichlet(2.0, 6)),
+        StaticKernel(),
+        FilterConfig(n_particles=30, theta=1.0, policy=UniformDeletion(0.7), proposal="prior"),
+        [
+            ObservationBatch(t, tuple(int(w) for w in row))
+            for t, row in enumerate(np.random.default_rng(15).integers(0, 6, size=(24, 4)), 1)
+        ],
+    ),
+}
+
+
+class TestFastStepAgainstReference:
+    """`advance` and `estimate_density` against the per-particle step and
+    per-component density they replaced (`tests/oracles.py`)."""
+
+    @pytest.mark.parametrize("setup", sorted(_STEP_SETUPS))
+    def test_step_equals_reference(self, setup):
+        model, kernel, cfg, batches = _STEP_SETUPS[setup]()
+        fast = init_particles(cfg, np.random.default_rng(5))
+        ref = copy.deepcopy(fast)
+        resampled = 0
+        for batch in batches:
+            info = advance(fast, batch, model, kernel, cfg)
+            assert info == reference_advance(ref, batch, model, kernel, cfg)
+            _assert_same_population(fast, ref)
+            resampled += info["resampled"]
+        assert resampled > 0
+
+    @pytest.mark.parametrize("setup", ["nig-walk-size-biased", "known-var-ar1-conjugate"])
+    def test_density_equals_reference_after_resampling(self, setup):
+        model, kernel, cfg, batches = _STEP_SETUPS[setup]()
+        pop = init_particles(cfg, np.random.default_rng(6))
+        grid = np.linspace(-9.0, 9.0, 120)
+        resampled = 0
+        for batch in batches:
+            resampled += advance(pop, batch, model, kernel, cfg)["resampled"]
+            if resampled:
+                est = estimate_density(pop, grid, model)
+                np.testing.assert_allclose(
+                    est.values, reference_density(pop, grid, model), rtol=1e-12, atol=0
+                )
+        assert resampled > 0

@@ -23,7 +23,7 @@ from tvdpm.urn import (
     step,
 )
 
-from .oracles import binomial_then_uniform_removal, tv
+from .oracles import binomial_then_uniform_removal, reference_delete_uniform, tv
 
 
 def state_with(boxes, theta=1.0, retain_ages=False, time=0):
@@ -80,6 +80,24 @@ class TestDeleteUniform:
         p = {k: v / n_mc for k, v in ours.items()}
         q = {k: v / n_mc for k, v in other.items()}
         assert tv(p, q) < 0.01
+
+    def test_scalar_draws_equal_array_reference(self):
+        # the per-box draws consume the stream exactly as the array draw
+        # they replaced: same states and the same generator state after
+        # every call
+        gen = np.random.default_rng(31)
+        fast, ref = np.random.default_rng(32), np.random.default_rng(32)
+        for _ in range(300):
+            labels = sorted(gen.choice(40, size=int(gen.integers(0, 9)), replace=False) + 1)
+            boxes = {int(lab): int(gen.integers(1, 60)) for lab in labels}
+            s = state_with(boxes, theta=float(gen.uniform(0.5, 4.0)), time=int(gen.integers(0, 9)))
+            s.next_label += int(gen.integers(0, 3))
+            for rho in (0.0, 0.3, 0.9, 1.0):
+                got = delete_uniform(s, rho, fast)
+                want = reference_delete_uniform(s, rho, ref)
+                assert got == want
+                assert s.boxes == boxes
+                assert fast.bit_generator.state == ref.bit_generator.state
 
     def test_age_resolved_state_keeps_cells_consistent(self, rng):
         s = state_with({1: 5}, retain_ages=True)
