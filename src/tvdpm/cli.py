@@ -19,15 +19,15 @@ from . import datagen
 from .config import (
     ConfigError,
     build_filter_config,
-    build_kernel,
     build_model,
     build_policy,
+    build_sampler,
     load_config,
     _schema,
 )
 from .diagnostics import mean_correlation_curve, run_validation_suite
 from .kernels import StaticKernel
-from .mcmc import MCMCState, sweep
+from .mcmc import sweep
 from .models import DataError, read_corpus, read_observation_batches
 from .smc import DegeneracyError, run_filter
 from .urn import policy_uses_walk, run_trajectory
@@ -51,21 +51,30 @@ def _policy_from_string(text: str):
 
 
 def _checked(convert, ok, requirement):
-    """An argparse `type=` that converts the flag's text and rejects values
-    failing `ok`; argparse names the flag in the usage error (exit 2)."""
+    """An argparse `type=` that converts the flag's text and rejects text
+    it cannot convert and values failing `ok`; argparse names the flag in
+    the usage error (exit 2)."""
 
     def parse(text):
-        value = convert(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
-        return value
+        try:
+            value = convert(text)
+        except ValueError:
+            pass
+        else:
+            if ok(value):
+                return value
+        raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
 
-    parse.__name__ = convert.__name__
     return parse
 
 
-_SEED = _checked(int, lambda x: x >= 0, "a non-negative integer")
+def _int_list(text):
+    return [int(x) for x in text.split(",")]
+
+
+_NON_NEGATIVE_INT = _checked(int, lambda x: x >= 0, "a non-negative integer")
 _POSITIVE_INT = _checked(int, lambda x: x >= 1, "a positive integer")
+_TAUS = _checked(_int_list, lambda xs: min(xs) >= 0, "comma-separated non-negative integers")
 _POSITIVE = _checked(float, lambda x: x > 0, "positive")
 _PROBABILITY = _checked(float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
 _AR1_PHI = _checked(float, lambda x: -1.0 <= x <= 1.0, "in [-1, 1]")
@@ -158,43 +167,14 @@ def cmd_mcmc(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
     inf = cfg.inference
-    model = build_model(cfg.model)
-    kernel = build_kernel(inf.get("kernel"), model)
-    if cfg.policy["type"] != "uniform" or cfg.policy["rho"] == "walk":
-        raise ConfigError("mcmc supports the fixed-rho uniform deletion policy only")
-    if cfg.policy["rho"] != inf["rho"]:
-        raise ConfigError(
-            f"policy.rho ({cfg.policy['rho']}) and inference.rho ({inf['rho']}) disagree"
-        )
-    mode = inf.get("mode", "collapsed")
-    kind = inf.get("kernel", {"type": "static"})["type"]
-    if (mode == "ar1") != (kind == "ar1"):
-        raise ConfigError(
-            f'"mode": "{mode}" with the {kind} kernel: mcmc needs an ar1 '
-            'inference.kernel exactly in "mode": "ar1"'
-        )
     if cfg.data is None:
         raise ConfigError("mcmc needs a data section")
     if cfg.model["type"] == "topic":
         batches, _ = read_corpus(cfg.data["path"], cfg.data["vocab_path"])
     else:
         batches = read_observation_batches(cfg.data["path"])
-    n = batches[0].n
-    if any(b.n != n for b in batches):
-        raise ConfigError("mcmc expects the same batch size at every time step")
-    obs = [tuple(b.values) for b in batches]
     rng = np.random.default_rng(seed)
-    state = MCMCState.from_prior(
-        len(obs),
-        n,
-        cfg.theta,
-        inf["rho"],
-        rng,
-        observations=obs,
-        model=model,
-        mode=mode,
-        kernel=kernel,
-    )
+    state = build_sampler(cfg, [b.values for b in batches], rng)
     ckpt_every = inf.get("checkpoint_every", 0)
     ckpt_path = (cfg.output or {}).get("checkpoint_path")
     out_path = args.out or (cfg.output or {}).get("path")
@@ -222,14 +202,13 @@ def cmd_mcmc(args) -> int:
 
 def cmd_correlation(args) -> int:
     rng = np.random.default_rng(args.seed)
-    taus = [int(x) for x in args.taus.split(",")]
     out = _open_out(args.out)
     writer = csv.writer(out)
     writer.writerow(["tau", "correlation", "rho", "theta"])
     try:
         for rho in args.rho:
             curve = mean_correlation_curve(
-                args.theta, rho, taus, args.n_mc, args.burn_in, rng,
+                args.theta, rho, args.taus, args.n_mc, args.burn_in, rng,
                 kernel_phi=args.kernel_phi,
             )
             for row in curve.csv_rows():
@@ -247,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen-data", help="emit a synthetic observation stream")
     g.add_argument("--preset", choices=sorted(datagen.DENSITY_PRESETS) + ["topic-synthetic"])
     g.add_argument("--stream-config", help="custom density stream config (JSON)")
-    g.add_argument("--seed", type=_SEED, required=True)
+    g.add_argument("--seed", type=_NON_NEGATIVE_INT, required=True)
     g.add_argument("--out", default="-")
     g.add_argument("--vocab-out", help="vocabulary file for topic-synthetic")
     g.set_defaults(func=cmd_gen_data)
@@ -256,37 +235,37 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--theta", type=_POSITIVE, required=True)
     s.add_argument("--policy", required=True, help='deletion policy JSON, e.g. {"type":"uniform","rho":0.7}')
     s.add_argument("--n", type=_POSITIVE_INT, required=True)
-    s.add_argument("--steps", type=int, required=True)
-    s.add_argument("--seed", type=_SEED, required=True)
+    s.add_argument("--steps", type=_POSITIVE_INT, required=True)
+    s.add_argument("--seed", type=_NON_NEGATIVE_INT, required=True)
     s.add_argument("--out", default="-")
     s.set_defaults(func=cmd_simulate)
 
     v = sub.add_parser("validate", help="run the statistical validation suite")
     v.add_argument("--quick", action="store_true")
-    v.add_argument("--seed", type=_SEED, default=20240901)
+    v.add_argument("--seed", type=_NON_NEGATIVE_INT, default=20240901)
     v.add_argument("--out", help="write the JSON report here")
     v.set_defaults(func=cmd_validate)
 
     f = sub.add_parser("smc", help="online inference on an observation stream")
     f.add_argument("--config", required=True)
-    f.add_argument("--seed", type=_SEED)
+    f.add_argument("--seed", type=_NON_NEGATIVE_INT)
     f.add_argument("--out")
     f.set_defaults(func=cmd_smc)
 
     m = sub.add_parser("mcmc", help="batch inference on an observation stream")
     m.add_argument("--config", required=True)
-    m.add_argument("--seed", type=_SEED)
+    m.add_argument("--seed", type=_NON_NEGATIVE_INT)
     m.add_argument("--out")
     m.set_defaults(func=cmd_mcmc)
 
     c = sub.add_parser("correlation", help="correlation-decay curves as CSV")
     c.add_argument("--theta", type=_POSITIVE, required=True)
     c.add_argument("--rho", type=_PROBABILITY, action="append", required=True)
-    c.add_argument("--taus", default="0,1,5,10")
+    c.add_argument("--taus", type=_TAUS, default="0,1,5,10")
     c.add_argument("--n-mc", type=_POSITIVE_INT, default=10_000)
-    c.add_argument("--burn-in", type=int, default=200)
+    c.add_argument("--burn-in", type=_NON_NEGATIVE_INT, default=200)
     c.add_argument("--kernel-phi", type=_AR1_PHI, default=None)
-    c.add_argument("--seed", type=_SEED, required=True)
+    c.add_argument("--seed", type=_NON_NEGATIVE_INT, required=True)
     c.add_argument("--out", default="-")
     c.set_defaults(func=cmd_correlation)
     return p

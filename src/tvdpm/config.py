@@ -14,6 +14,7 @@ import jsonschema
 import numpy as np
 
 from .kernels import GaussianAR1, GaussianKnownVar, NormalInverseGamma, StaticKernel, SymmetricDirichlet
+from .mcmc import MCMCState
 from .models import GaussianModel, KnownVarGaussianModel, TopicModel
 from .smc import FilterConfig, RhoWalk
 from .urn import (
@@ -25,7 +26,15 @@ from .urn import (
     policy_uses_walk,
 )
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "build_policy", "build_model"]
+__all__ = [
+    "ConfigError",
+    "ExperimentConfig",
+    "load_config",
+    "build_policy",
+    "build_model",
+    "build_filter_config",
+    "build_sampler",
+]
 
 
 class ConfigError(ValueError):
@@ -143,4 +152,42 @@ def build_filter_config(cfg: ExperimentConfig) -> FilterConfig:
         ess_threshold_fraction=inf.get("ess_threshold_fraction", 0.5),
         rho_walk=RhoWalk(walk["a_rho"], walk["rho0"]) if walk else None,
         grid=grid,
+    )
+
+
+def build_sampler(cfg: ExperimentConfig, observations, rng: np.random.Generator) -> MCMCState:
+    """The Gibbs sampler of an mcmc config on `observations` (one sequence
+    per time step, all of one length), started from a draw from the prior
+    with `rng`."""
+    inf = cfg.inference
+    if inf["method"] != "mcmc":
+        raise ConfigError("inference.method must be 'mcmc' for the sampler")
+    model = build_model(cfg.model)
+    kernel = build_kernel(inf.get("kernel"), model)
+    if cfg.policy["type"] != "uniform" or cfg.policy["rho"] == "walk":
+        raise ConfigError("mcmc supports the fixed-rho uniform deletion policy only")
+    if cfg.policy["rho"] != inf["rho"]:
+        raise ConfigError(
+            f"policy.rho ({cfg.policy['rho']}) and inference.rho ({inf['rho']}) disagree"
+        )
+    mode = inf.get("mode", "collapsed")
+    kind = inf.get("kernel", {"type": "static"})["type"]
+    if (mode == "ar1") != (kind == "ar1"):
+        raise ConfigError(
+            f'"mode": "{mode}" with the {kind} kernel: mcmc needs an ar1 '
+            'inference.kernel exactly in "mode": "ar1"'
+        )
+    n = len(observations[0])
+    if any(len(row) != n for row in observations):
+        raise ConfigError("mcmc expects the same batch size at every time step")
+    return MCMCState.from_prior(
+        len(observations),
+        n,
+        cfg.theta,
+        inf["rho"],
+        rng,
+        observations=[tuple(row) for row in observations],
+        model=model,
+        mode=mode,
+        kernel=kernel,
     )

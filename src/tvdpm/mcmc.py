@@ -127,6 +127,28 @@ class MCMCState:
         self.blocks: dict[int, set] = {}
         self.stats: dict[int, object] = {}
         self.locs: dict[int, object] = {}
+        # Fixed for the whole run, so the moves read them instead of
+        # recomputing: log x for counts x up to n*T (-inf at 0, never read);
+        # by pre-batch total x, log(x + theta) - log(x + n + theta), what a
+        # unit alive through a batch adds to its urn probability; the
+        # lifetime prior by offset u - t of a death time u <= T, and the
+        # alive-at-horizon cap by offset T + 1 - t; and per unit, the score
+        # of opening a fresh box.
+        top = n * T
+        self.log_count = [NEG_INF] + [math.log(x) for x in range(1, top + 1)]
+        self.batch_gain = [
+            math.log(x + self.theta) - math.log(x + n + self.theta) for x in range(top + 1)
+        ]
+        self.lifetime_prior = [_lifetime_log_prior(self.rho, 1, 1 + j, T) for j in range(T)]
+        self.cap_prior = [_lifetime_log_prior(self.rho, T + 1 - j, T + 1, T) for j in range(T + 1)]
+        log_theta = math.log(self.theta)
+        if observations is None:
+            self.new_box_score = [[log_theta] * n for _ in range(T)]
+        else:
+            empty = model.empty_stats()
+            self.new_box_score = [
+                [log_theta + model.predictive_logp(empty, z) for z in row] for row in observations
+            ]
 
     # -- construction -------------------------------------------------------
 
@@ -242,8 +264,12 @@ class MCMCState:
         return [u + 1 for u in range(self.T) if self.m_post[u].get(label, 0) > 0]
 
     def alive_interval(self, label: int) -> tuple[int, int]:
-        times = self._alive_times(label)
-        return times[0], times[-1]
+        """First and last time box `label` has units alive, read off its
+        units' births and death times (`check_caches` checks it against the
+        alive-count scan)."""
+        units = self.blocks[label]
+        d = self.d
+        return min(t for t, _k in units), min(max(d[t - 1][k] for t, k in units), self.T)
 
     def _stats_of(self, units):
         return stats_of(self.model, (self.obs[t - 1][k] for (t, k) in units))
@@ -265,6 +291,8 @@ class MCMCState:
             alive = self._alive_times(lab)
             if alive != list(range(alive[0], alive[-1] + 1)):
                 raise AssertionError(f"box {lab} alive interval not contiguous: {alive}")
+            if self.alive_interval(lab) != (alive[0], alive[-1]):
+                raise AssertionError(f"box {lab} alive interval {self.alive_interval(lab)} is not {alive}")
             if self.mode == "ar1" and sorted(self.locs[lab]) != alive:
                 raise AssertionError(f"box {lab} trajectory does not cover its alive times {alive}")
         if self.obs is not None:
@@ -278,16 +306,11 @@ class MCMCState:
         return [len(self.m_post[u]) for u in range(self.T)]
 
     def log_marginal_likelihood(self) -> float:
+        """Log density of the observations given the allocations, box by
+        box in closed form."""
         if self.obs is None:
             return 0.0
-        out = 0.0
-        for lab, units in self.blocks.items():
-            st = self.model.empty_stats()
-            for (t, k) in sorted(units):
-                z = self.obs[t - 1][k]
-                out += self.model.predictive_logp(st, z)
-                self.model.stats_add(st, z)
-        return out
+        return sum(self.model.log_marginal(st) for st in self.stats.values())
 
     def to_checkpoint(self) -> dict:
         ck = {
@@ -329,11 +352,9 @@ def _stats_close(a, b) -> bool:
 
 def _move_loglik(state: MCMCState, label, z, t):
     """Log-likelihood weight of putting observation z (at time t) into the
-    given box; label None means a fresh box."""
+    given box (a fresh box's is in `state.new_box_score`)."""
     if state.obs is None:
         return 0.0
-    if label is None:
-        return state.model.predictive_logp(state.model.empty_stats(), z)
     if state.mode == "collapsed":
         return state.model.predictive_logp(state.stats[label], z)
     if state.mode == "static":
@@ -379,6 +400,7 @@ def gibbs_allocation(state: MCMCState, k: int, t: int, rng: np.random.Generator)
     dd = min(state.d[t - 1][k], state.T)
     z = state.obs[t - 1][k] if state.obs is not None else None
     row = state.c[t - 1]
+    log = state.log_count
 
     pre = state.pre[t - 1]
     entry = {b: pre[b] for b in state.m_post[t - 1] if b in pre}
@@ -399,14 +421,14 @@ def gibbs_allocation(state: MCMCState, k: int, t: int, rng: np.random.Generator)
             if drawn:
                 if not m:
                     return
-                adj[b] += math.log(m + drawn) - math.log(m)
+                adj[b] += log[m + drawn] - log[m]
 
     if state.obs is not None and state.mode == "collapsed":
         state.model.stats_remove(state.stats[a], z)
 
     labels = list(entry)
-    scores = [math.log(entry[b]) + adj[b] + _move_loglik(state, b, z, t) for b in labels]
-    scores.append(math.log(state.theta) + _move_loglik(state, None, z, t))
+    scores = [log[entry[b]] + adj[b] + _move_loglik(state, b, z, t) for b in labels]
+    scores.append(state.new_box_score[t - 1][k])
     pick, _ = sample_log_categorical(scores, rng)
     target = labels[pick] if pick < len(labels) else None
 
@@ -519,25 +541,26 @@ def gibbs_death_time(state: MCMCState, k: int, t: int, rng: np.random.Generator)
     """
     a = state.c[t - 1][k]
     d_old = state.d[t - 1][k]
-    T, n, theta, rho = state.T, state.n, state.theta, state.rho
+    T = state.T
+    pre, pre_total, m_post = state.pre, state.pre_total, state.m_post
+    log, batch_gain, prior = state.log_count, state.batch_gain, state.lifetime_prior
 
     alive_last = min(d_old, T)
-    scores = [_lifetime_log_prior(rho, t, t, T)]
+    scores = [prior[0]]
     gain = 0.0
     for v in range(t + 1, T + 1):
         own = v <= alive_last  # the caches count the unit at v
-        total = state.pre_total[v - 1] - own
-        m = state.pre[v - 1].get(a, 0)
-        drawn = state.m_post[v - 1].get(a, 0) - m
+        m = pre[v - 1].get(a, 0)
+        drawn = m_post[v - 1].get(a, 0) - m
         m -= own
-        gain += math.log(total + theta) - math.log(total + n + theta)
+        gain += batch_gain[pre_total[v - 1] - own]
         if drawn:
             if m:
-                gain += math.log(m + drawn) - math.log(m)
+                gain += log[m + drawn] - log[m]
             else:
                 scores = [NEG_INF] * len(scores)
-        scores.append(_lifetime_log_prior(rho, t, v, T) + gain)
-    scores.append(_lifetime_log_prior(rho, t, T + 1, T) + gain)
+        scores.append(prior[v - t] + gain)
+    scores.append(state.cap_prior[T + 1 - t] + gain)
     if max(scores) == NEG_INF:
         return
     d_new = t + sample_log_categorical(scores, rng)[0]

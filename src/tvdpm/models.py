@@ -94,6 +94,11 @@ def _student_t_logpdf_scalar(x: float, df: float, loc: float, scale: float) -> f
     )
 
 
+def _log_sum_exp(values) -> float:
+    top = max(values)
+    return top + math.log(sum(math.exp(v - top) for v in values))
+
+
 def _invgamma_logpdf(x, shape, rate):
     return shape * math.log(rate) - gammaln(shape) - (shape + 1.0) * math.log(x) - rate / x
 
@@ -134,6 +139,20 @@ class GaussianModel:
             lam_n += max(ss - n * zbar * zbar, 0.0)
             lam_n += b.kappa0 * n * (zbar - b.mu0) ** 2 / kappa_n
         return mu_n, kappa_n, nu_n, lam_n
+
+    def log_marginal(self, stats) -> float:
+        """Log density of a box's observations with its mean and variance
+        integrated out: the product of its sequential predictives."""
+        b = self.base
+        _mu_n, kappa_n, nu_n, lam_n = self._posterior_params(stats)
+        return (
+            math.lgamma(nu_n / 2.0)
+            - math.lgamma(b.nu0 / 2.0)
+            + b.nu0 / 2.0 * math.log(b.lambda0 / 2.0)
+            - nu_n / 2.0 * math.log(lam_n / 2.0)
+            + 0.5 * math.log(b.kappa0 / kappa_n)
+            - 0.5 * stats[0] * _LOG_2PI
+        )
 
     def log_likelihood(self, z, u) -> float:
         mean, var = u
@@ -191,10 +210,12 @@ class KnownVarGaussianModel:
             self._atoms = [float(a) for a in base.atoms]
             self._log_w = [math.log(w) for w in base.weights]
 
+    # sufficient statistics: the log-likelihood of the observations at each
+    # atom (atomic base), else [count, sum, sum of squares]
     def empty_stats(self):
         if self._atomic:
             return [0.0] * len(self._atoms)
-        return [0, 0.0]
+        return [0, 0.0, 0.0]
 
     def stats_add(self, stats, z):
         if self._atomic:
@@ -203,6 +224,7 @@ class KnownVarGaussianModel:
         else:
             stats[0] += 1
             stats[1] += z
+            stats[2] += z * z
 
     def stats_remove(self, stats, z):
         if self._atomic:
@@ -211,22 +233,37 @@ class KnownVarGaussianModel:
         else:
             stats[0] -= 1
             stats[1] -= z
+            stats[2] -= z * z
 
     def log_likelihood(self, z, u) -> float:
         return _norm_logpdf(z, u, self._obs_var)
 
     def _posterior_mean_var(self, stats):
         b = self.base
-        n, s = stats
+        n, s = stats[0], stats[1]
         prec = 1.0 / (b.sigma0 * b.sigma0) + n / self._obs_var
         mean = (b.mu0 / (b.sigma0 * b.sigma0) + s / self._obs_var) / prec
         return mean, 1.0 / prec
 
     def _atom_log_posts(self, stats):
         logp = [w + s for w, s in zip(self._log_w, stats)]
-        top = max(logp)
-        norm = top + math.log(sum(math.exp(x - top) for x in logp))
+        norm = _log_sum_exp(logp)
         return [x - norm for x in logp]
+
+    def log_marginal(self, stats) -> float:
+        """Log density of a box's observations with its mean integrated
+        out: the product of its sequential predictives."""
+        if self._atomic:
+            return _log_sum_exp([w + s for w, s in zip(self._log_w, stats)])
+        b = self.base
+        n, _s, ss = stats
+        prior_prec = 1.0 / (b.sigma0 * b.sigma0)
+        mean, var = self._posterior_mean_var(stats)
+        return (
+            -0.5 * n * (_LOG_2PI + math.log(self._obs_var))
+            + 0.5 * math.log(prior_prec * var)
+            - 0.5 * (ss / self._obs_var + b.mu0 * b.mu0 * prior_prec - mean * mean / var)
+        )
 
     def posterior_sample_from_stats(self, stats, rng: np.random.Generator):
         if self._atomic:
@@ -238,11 +275,9 @@ class KnownVarGaussianModel:
     def predictive_logp(self, stats, z) -> float:
         if self._atomic:
             logp = self._atom_log_posts(stats)
-            vals = [
-                lp + _norm_logpdf(z, a, self._obs_var) for lp, a in zip(logp, self._atoms)
-            ]
-            top = max(vals)
-            return top + math.log(sum(math.exp(v - top) for v in vals))
+            return _log_sum_exp(
+                [lp + _norm_logpdf(z, a, self._obs_var) for lp, a in zip(logp, self._atoms)]
+            )
         mean, var = self._posterior_mean_var(stats)
         return _norm_logpdf(z, mean, var + self._obs_var)
 
@@ -311,8 +346,20 @@ class TopicModel:
 
     def predictive_logp(self, stats, w) -> float:
         counts, total = stats
-        return float(
-            math.log(counts[w] + self._alpha) - math.log(total + self.base.theta_v)
+        # item() reads the count as a Python int: the same float, without
+        # NumPy scalar arithmetic
+        return math.log(counts.item(w) + self._alpha) - math.log(total + self.base.theta_v)
+
+    def log_marginal(self, stats) -> float:
+        """Log probability of a box's words with its topic integrated out
+        (Dirichlet-multinomial): the product of its sequential predictives."""
+        counts, total = stats
+        a = self._alpha
+        lg_a = math.lgamma(a)
+        return (
+            math.lgamma(self.base.theta_v)
+            - math.lgamma(total + self.base.theta_v)
+            + sum(math.lgamma(c + a) - lg_a for c in counts.tolist() if c)
         )
 
 

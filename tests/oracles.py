@@ -500,3 +500,134 @@ def reference_density(population, grid, model) -> np.ndarray:
         var = np.asarray(varis)[:, None]
         values = values + (wb * np.exp(normal_logpdf(grid[None, :], mu, var))).sum(axis=0)
     return values
+
+
+# -- the Gibbs moves and the sweep record before they read the state's
+# lookup tables and the models' closed-form marginals, kept verbatim (as
+# functions of the state) as the references the fast paths are pinned
+# against.
+
+
+def _move_loglik(state, label, z, t):
+    """Log-likelihood weight of putting observation z (at time t) into the
+    given box; label None means a fresh box."""
+    if state.obs is None:
+        return 0.0
+    if label is None:
+        return state.model.predictive_logp(state.model.empty_stats(), z)
+    if state.mode == "collapsed":
+        return state.model.predictive_logp(state.stats[label], z)
+    if state.mode == "static":
+        return state.model.log_likelihood(z, state.locs[label])
+    return state.model.log_likelihood(z, state.locs[label][t])
+
+
+def reference_gibbs_allocation(state, k: int, t: int, rng):
+    """Resample c_{k,t} from its full conditional, recomputing every
+    logarithm and the fresh box's predictive."""
+    from tvdpm.mcmc import _attach_new_box, _attach_unit, _detach_unit
+    from tvdpm.partitions import sample_log_categorical
+
+    a = state.c[t - 1][k]
+    dd = min(state.d[t - 1][k], state.T)
+    z = state.obs[t - 1][k] if state.obs is not None else None
+    row = state.c[t - 1]
+
+    pre = state.pre[t - 1]
+    entry = {b: pre[b] for b in state.m_post[t - 1] if b in pre}
+    for b in row[:k]:
+        entry[b] = entry.get(b, 0) + 1
+    adj = dict.fromkeys(entry, 0.0)
+    adj.setdefault(a, 0.0)
+
+    # the rest of batch t, then whole batches up to the death time
+    rest = row[k + 1:]
+    for b in adj:
+        m, drawn = entry.get(b, 0), rest.count(b)
+        for v in range(t, dd + 1):
+            if v > t:
+                m = state.pre[v - 1].get(b, 0)
+                drawn = state.m_post[v - 1].get(b, 0) - m
+                m -= b == a
+            if drawn:
+                if not m:
+                    return
+                adj[b] += math.log(m + drawn) - math.log(m)
+
+    if state.obs is not None and state.mode == "collapsed":
+        state.model.stats_remove(state.stats[a], z)
+
+    labels = list(entry)
+    scores = [math.log(entry[b]) + adj[b] + _move_loglik(state, b, z, t) for b in labels]
+    scores.append(math.log(state.theta) + _move_loglik(state, None, z, t))
+    pick, _ = sample_log_categorical(scores, rng)
+    target = labels[pick] if pick < len(labels) else None
+
+    if target == a:
+        if state.obs is not None and state.mode == "collapsed":
+            state.model.stats_add(state.stats[a], z)
+        return
+    _detach_unit(state, a, k, t, dd, z, rng)
+    if target is None:
+        target = state.next_label
+        state.next_label += 1
+        _attach_new_box(state, target, k, t, dd, z, rng)
+    else:
+        _attach_unit(state, target, k, t, dd, z, rng)
+    state.c[t - 1][k] = target
+
+
+def reference_gibbs_death_time(state, k: int, t: int, rng):
+    """Resample d_{k,t} from its full conditional, recomputing every
+    logarithm and every prior term."""
+    from tvdpm.mcmc import _fit_trajectory, _shift
+    from tvdpm.partitions import sample_log_categorical
+
+    NEG_INF = float("-inf")
+    a = state.c[t - 1][k]
+    d_old = state.d[t - 1][k]
+    T, n, theta, rho = state.T, state.n, state.theta, state.rho
+
+    alive_last = min(d_old, T)
+    scores = [lifetime_log_prior(rho, t, t, T)]
+    gain = 0.0
+    for v in range(t + 1, T + 1):
+        own = v <= alive_last  # the caches count the unit at v
+        total = state.pre_total[v - 1] - own
+        m = state.pre[v - 1].get(a, 0)
+        drawn = state.m_post[v - 1].get(a, 0) - m
+        m -= own
+        gain += math.log(total + theta) - math.log(total + n + theta)
+        if drawn:
+            if m:
+                gain += math.log(m + drawn) - math.log(m)
+            else:
+                scores = [NEG_INF] * len(scores)
+        scores.append(lifetime_log_prior(rho, t, v, T) + gain)
+    scores.append(lifetime_log_prior(rho, t, T + 1, T) + gain)
+    if max(scores) == NEG_INF:
+        return
+    d_new = t + sample_log_categorical(scores, rng)[0]
+    if d_new == d_old:
+        return
+    state.d[t - 1][k] = d_new
+    lo, hi = min(d_old, T), min(d_new, T)
+    if hi != lo:
+        _shift(state, a, min(lo, hi) + 1, max(lo, hi), 1 if hi > lo else -1, t)
+        if state.mode == "ar1":
+            _fit_trajectory(state, a, rng)
+
+
+def reference_log_marginal_likelihood(state) -> float:
+    """Log density of the observations given the allocations, by replaying
+    every box's units through the sequential predictive."""
+    if state.obs is None:
+        return 0.0
+    out = 0.0
+    for lab, units in state.blocks.items():
+        st = state.model.empty_stats()
+        for (t, k) in sorted(units):
+            z = state.obs[t - 1][k]
+            out += state.model.predictive_logp(st, z)
+            state.model.stats_add(st, z)
+    return out

@@ -1,4 +1,6 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -189,6 +191,15 @@ class TestCli:
             assert code == 2 and err.startswith("error: ") and named in err
             assert not out.exists()
 
+    def test_mcmc_rejects_smc_config(self, tmp_path):
+        args = write_stream(tmp_path, [{"t": 1, "values": [0.1]}])
+        cfg_path = pathlib.Path(args[2])
+        cfg = json.loads(cfg_path.read_text())
+        cfg["policy"] = {"type": "uniform", "rho": 0.4}
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(["mcmc"] + args[1:])
+        assert code == 2 and err.startswith("error: ") and "inference.method must be 'mcmc'" in err
+
     def test_unknown_subcommand_exits_2(self):
         proc = subprocess.run(
             [sys.executable, "-m", "tvdpm.cli", "frobnicate"], capture_output=True
@@ -277,10 +288,18 @@ class TestCli:
             (["correlation", "--theta", "1", "--rho", "0.5", "--n-mc", "0", "--seed", "2"], "--n-mc"),
             (["correlation", "--theta", "3", "--rho", "0.5", "--kernel-phi", "1.5", "--n-mc", "50",
               "--burn-in", "5", "--seed", "2"], "--kernel-phi"),
+            (["simulate", "--theta", "1", "--policy", POLICY, "--n", "1", "--steps", "-3", "--seed", "0"], "--steps"),
+            (["correlation", "--theta", "1", "--rho", "0.5", "--n-mc", "5", "--burn-in", "-5",
+              "--seed", "2"], "--burn-in"),
+            (["correlation", "--theta", "1", "--rho", "0.5", "--n-mc", "5", "--taus=-1,2",
+              "--seed", "2"], "--taus"),
+            (["correlation", "--theta", "1", "--rho", "0.5", "--n-mc", "5", "--taus", "a,b",
+              "--seed", "2"], "--taus"),
         ],
         ids=["gen-data-seed", "simulate-seed", "validate-seed", "smc-seed", "mcmc-seed",
              "correlation-seed", "simulate-theta", "simulate-n", "correlation-theta",
-             "correlation-rho", "correlation-n-mc", "correlation-kernel-phi"],
+             "correlation-rho", "correlation-n-mc", "correlation-kernel-phi", "simulate-steps",
+             "correlation-burn-in", "correlation-taus-negative", "correlation-taus-not-integers"],
     )
     def test_bad_numeric_flag_is_usage_error(self, tmp_path, args, flag):
         # a valid config, so only the flag can be at fault
@@ -368,3 +387,33 @@ class TestBadData:
         code, _, err = run_cli(args)
         assert code == 2
         assert err.startswith("error: ") and "[9, 4]" in err and "t=2" in err
+
+
+class TestTopicDriver:
+    """scripts/run_topic_experiment.py builds its sampler from an mcmc config."""
+
+    ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+    def run_driver(self, *args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(self.ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        return subprocess.run(
+            [sys.executable, str(self.ROOT / "scripts" / "run_topic_experiment.py"), *args],
+            capture_output=True, text=True, env=env,
+        )
+
+    def test_three_sweeps_from_shipped_config(self, tmp_path):
+        proc = self.run_driver("--sweeps", "3", "--seed", "5", "--out-dir", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        rows = (tmp_path / "topic_sweeps.csv").read_text().splitlines()
+        assert rows[0] == "sweep,alive_topics_median_t,loglik"
+        assert [r.split(",")[0] for r in rows[1:]] == ["1", "2", "3"]
+        assert "recovered topics" in proc.stdout and "topic " in proc.stdout
+
+    def test_rejects_non_topic_config(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(GOOD_CONFIG))
+        proc = self.run_driver("--config", str(cfg), "--sweeps", "1", "--out-dir", str(tmp_path))
+        assert proc.returncode == 2 and "topic model" in proc.stderr

@@ -7,8 +7,14 @@ import pytest
 from scipy import stats as sps
 
 import tvdpm.mcmc as mcmc
-from tvdpm.kernels import FiniteAtomic, GaussianAR1, GaussianKnownVar, SymmetricDirichlet
-from tvdpm.models import KnownVarGaussianModel, TopicModel, stats_of
+from tvdpm.kernels import (
+    FiniteAtomic,
+    GaussianAR1,
+    GaussianKnownVar,
+    NormalInverseGamma,
+    SymmetricDirichlet,
+)
+from tvdpm.models import GaussianModel, KnownVarGaussianModel, TopicModel, stats_of
 from tvdpm.mcmc import (
     MCMCState,
     gibbs_allocation,
@@ -205,26 +211,51 @@ def _same_conditional(fast, slow):
     np.testing.assert_allclose(_normalised(fast), _normalised(slow), rtol=0, atol=1e-12)
 
 
-def _pin_states(rng):
-    """States reached by sweeping: prior-only, collapsed topic, and
-    known-variance Gaussian with static and AR1 locations, at each rho."""
-    T, n = 6, 4
+PIN_T, PIN_N = 6, 4
+
+
+def _pin_setups(rng, extra=False):
+    """(rho, from_prior keywords): prior-only, collapsed topic, and
+    known-variance Gaussian with static and AR1 locations, at each rho;
+    with `extra`, also collapsed NIG and the atomic base."""
+    T, n = PIN_T, PIN_N
     gauss = KnownVarGaussianModel(GaussianKnownVar(0.0, 2.0), 1.0)
     topic = TopicModel(SymmetricDirichlet(2.0, 6))
+    nig = GaussianModel(NormalInverseGamma(0.0, 0.1, 2.0, 1.0))
+    atomic = KnownVarGaussianModel(FiniteAtomic((-2.0, 0.0, 1.5), (0.3, 0.3, 0.4)), 0.8)
     for rho in (0.0, 0.3, 0.9, 1.0):
         words = [tuple(int(w) for w in rng.integers(0, 6, n)) for _ in range(T)]
         values = [tuple(float(x) for x in rng.normal(0.0, 2.0, n)) for _ in range(T)]
-        setups = [
-            dict(),
-            dict(observations=words, model=topic, mode="collapsed"),
-            dict(observations=values, model=gauss, mode="static"),
-            dict(observations=values, model=gauss, mode="ar1", kernel=GaussianAR1(0.8, gauss.base)),
-        ]
-        for kw in setups:
-            state = MCMCState.from_prior(T, n, 0.8, rho, rng, **kw)
-            for _ in range(6):
-                sweep(state, rng)
-                yield state
+        yield rho, dict()
+        yield rho, dict(observations=words, model=topic, mode="collapsed")
+        yield rho, dict(observations=values, model=gauss, mode="static")
+        yield rho, dict(observations=values, model=gauss, mode="ar1", kernel=GaussianAR1(0.8, gauss.base))
+        if extra:
+            yield rho, dict(observations=values, model=nig, mode="collapsed")
+            yield rho, dict(observations=values, model=atomic, mode="collapsed")
+
+
+def _pin_states(rng):
+    """States reached by sweeping each `_pin_setups` setup."""
+    for rho, kw in _pin_setups(rng):
+        state = MCMCState.from_prior(PIN_T, PIN_N, 0.8, rho, rng, **kw)
+        for _ in range(6):
+            sweep(state, rng)
+            yield state
+
+
+def _assert_same_chain(fast, slow, fast_rng, slow_rng):
+    assert fast.c == slow.c and fast.d == slow.d
+    assert fast.blocks == slow.blocks and fast.next_label == slow.next_label
+    assert fast.locs == slow.locs
+    assert list(fast.stats) == list(slow.stats)
+    for lab, st in fast.stats.items():
+        ref = slow.stats[lab]
+        if isinstance(st[0], np.ndarray):
+            assert np.array_equal(st[0], ref[0]) and st[1] == ref[1]
+        else:
+            assert st == ref
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
 
 
 class TestMovesAgainstOracle:
@@ -252,6 +283,48 @@ class TestMovesAgainstOracle:
                     drawn += 1
             state.check_caches()
         assert stranded > 0 and forced > 0 and drawn > 0
+
+
+class TestMovesAgainstReference:
+    """The table-driven moves and the closed-form record against the moves
+    and record they replaced (tests/oracles.py)."""
+
+    def test_chains_equal_reference_moves(self, rng, monkeypatch):
+        for i, (rho, kw) in enumerate(_pin_setups(rng, extra=True)):
+            fast = MCMCState.from_prior(PIN_T, PIN_N, 0.8, rho, rng, **kw)
+            slow = copy.deepcopy(fast)
+            fast_rng, slow_rng = np.random.default_rng(i), np.random.default_rng(i)
+            for _ in range(20):
+                sweep(fast, fast_rng)
+                with monkeypatch.context() as m:
+                    m.setattr(mcmc, "gibbs_allocation", oracles.reference_gibbs_allocation)
+                    m.setattr(mcmc, "gibbs_death_time", oracles.reference_gibbs_death_time)
+                    sweep(slow, slow_rng)
+                _assert_same_chain(fast, slow, fast_rng, slow_rng)
+            fast.check_caches()
+
+    def test_record_matches_replay(self, rng):
+        for rho, kw in _pin_setups(rng, extra=True):
+            if "observations" not in kw:
+                continue
+            state = MCMCState.from_prior(PIN_T, PIN_N, 0.8, rho, rng, **kw)
+            for _ in range(5):
+                sweep(state, rng)
+                assert state.log_marginal_likelihood() == pytest.approx(
+                    oracles.reference_log_marginal_likelihood(state), rel=1e-10
+                )
+
+    def test_alive_interval_matches_scan(self):
+        rng = np.random.default_rng(11)
+        seen = 0
+        for state in _pin_states(rng):
+            if state.mode != "ar1":
+                continue
+            for lab in state.blocks:
+                alive = state._alive_times(lab)
+                assert state.alive_interval(lab) == (alive[0], alive[-1])
+                seen += 1
+        assert seen > 0
 
 
 class TestRelabel:
@@ -300,6 +373,43 @@ class TestPriorInvariance:
         for t in range(T):
             emp = {k: v / n_sweeps for k, v in per_t[t].items()}
             assert tv(emp, exact) < 0.05
+
+
+def _prior_share_z_scores(rho, rng, shift_prior=False, n_sweeps=6000, batches=50):
+    """Prior-only chain at T=30, n=2, theta=1.5: batch-means z-scores of the
+    share of batches whose two units share a box (Ewens: 1/(1+theta)) and
+    of the share of units with t < T that die at birth (1 - rho).  At T=30
+    the death-time move reads prior-table offsets up to 29."""
+    T, n, theta = 30, 2, 1.5
+    state = MCMCState.from_prior(T, n, theta, rho, rng)
+    if shift_prior:
+        # death time u > t scored with the prior of u - 1
+        state.lifetime_prior = state.lifetime_prior[:1] + state.lifetime_prior[:-1]
+    same = np.empty(n_sweeps)
+    at_birth = np.empty(n_sweeps)
+    for s in range(n_sweeps):
+        sweep(state, rng)
+        same[s] = sum(row[0] == row[1] for row in state.c) / T
+        at_birth[s] = sum(
+            state.d[t][k] == t + 1 for t in range(T - 1) for k in range(n)
+        ) / ((T - 1) * n)
+    z = []
+    for x, exact in ((same, 1.0 / (1.0 + theta)), (at_birth, 1.0 - rho)):
+        means = x.reshape(batches, -1).mean(axis=1)
+        z.append((x.mean() - exact) / (means.std(ddof=1) / math.sqrt(batches)))
+    return z
+
+
+class TestPriorInvarianceLongHorizon:
+    @pytest.mark.parametrize("rho", [0.3, 0.9])
+    def test_box_sharing_and_lifetimes_match_prior(self, rho):
+        z = _prior_share_z_scores(rho, np.random.default_rng(30))
+        assert all(abs(x) < 4.0 for x in z), z
+
+    def test_shifted_lifetime_prior_detected(self):
+        # negative control
+        z = _prior_share_z_scores(0.3, np.random.default_rng(30), shift_prior=True)
+        assert max(abs(x) for x in z) > 4.0, z
 
 
 class TestToyPosterior:

@@ -214,6 +214,58 @@ class TestKnownVarGaussian:
             KnownVarGaussianModel(GaussianKnownVar(0.0, 1.0), 0.0)
 
 
+def _replay(model, observations):
+    """Sum of sequential predictives, each observation scored against the
+    statistics of those before it."""
+    stats, out = model.empty_stats(), 0.0
+    for z in observations:
+        out += model.predictive_logp(stats, z)
+        model.stats_add(stats, z)
+    return out
+
+
+class TestLogMarginal:
+    MODELS = {
+        "nig": (GaussianModel(NIG), lambda rng, n: [float(x) for x in rng.normal(1.0, 2.0, n)]),
+        "known-var": (
+            KnownVarGaussianModel(GaussianKnownVar(0.5, 2.0), 0.7),
+            lambda rng, n: [float(x) for x in rng.normal(1.0, 2.0, n)],
+        ),
+        "atomic": (
+            KnownVarGaussianModel(FiniteAtomic((-1.0, 0.0, 2.0), (0.2, 0.5, 0.3)), 0.8),
+            lambda rng, n: [float(x) for x in rng.normal(0.5, 1.5, n)],
+        ),
+        "topic": (
+            TopicModel(SymmetricDirichlet(2.0, 7)),
+            lambda rng, n: [int(w) for w in rng.integers(0, 7, n)],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_matches_replay_after_adds_and_removes(self, name, rng):
+        model, draw = self.MODELS[name]
+        assert model.log_marginal(model.empty_stats()) == pytest.approx(0.0, abs=1e-12)
+        for n in (1, 2, 7, 40):
+            kept, dropped = draw(rng, n), draw(rng, 5)
+            stats = model.empty_stats()
+            for z in dropped[:3] + kept[: n // 2] + dropped[3:] + kept[n // 2:]:
+                model.stats_add(stats, z)
+            for z in dropped:
+                model.stats_remove(stats, z)
+            exact = _replay(model, kept)
+            assert model.log_marginal(stats) == pytest.approx(exact, rel=1e-10)
+            # negative control: one observation more is seen
+            assert model.log_marginal(stats) != pytest.approx(_replay(model, kept + dropped[:1]), rel=1e-6)
+
+    def test_topic_predictive_same_float_as_numpy_scalars(self):
+        model = TopicModel(SymmetricDirichlet(2.0, 7))
+        stats = stats_of(model, [0, 3, 3, 6, 3, 1])
+        counts, total = stats
+        for w in range(7):
+            old = float(math.log(counts[w] + model._alpha) - math.log(total + model.base.theta_v))
+            assert model.predictive_logp(stats, w) == old
+
+
 class TestReaders:
     def test_observation_batches(self, tmp_path):
         p = tmp_path / "data.jsonl"
