@@ -74,6 +74,7 @@ def _int_list(text):
 
 _NON_NEGATIVE_INT = _checked(int, lambda x: x >= 0, "a non-negative integer")
 _POSITIVE_INT = _checked(int, lambda x: x >= 1, "a positive integer")
+_AT_LEAST_TWO_INT = _checked(int, lambda x: x >= 2, "an integer >= 2")
 _TAUS = _checked(_int_list, lambda xs: min(xs) >= 0, "comma-separated non-negative integers")
 _POSITIVE = _checked(float, lambda x: x > 0, "positive")
 _PROBABILITY = _checked(float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
@@ -262,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--theta", type=_POSITIVE, required=True)
     c.add_argument("--rho", type=_PROBABILITY, action="append", required=True)
     c.add_argument("--taus", type=_TAUS, default="0,1,5,10")
-    c.add_argument("--n-mc", type=_POSITIVE_INT, default=10_000)
+    c.add_argument("--n-mc", type=_AT_LEAST_TWO_INT, default=10_000)
     c.add_argument("--burn-in", type=_NON_NEGATIVE_INT, default=200)
     c.add_argument("--kernel-phi", type=_AR1_PHI, default=None)
     c.add_argument("--seed", type=_NON_NEGATIVE_INT, required=True)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from .ensemble import UrnEnsemble, batch_partition_distribution
 from .kernels import GaussianAR1, GaussianKnownVar, sample_base
@@ -199,6 +198,8 @@ def mean_correlation_curve(
     taus = sorted(int(t) for t in taus)
     if taus and taus[0] < 0:
         raise ValueError("taus must be non-negative")
+    if n_mc < 2:
+        raise ValueError("n_mc must be at least 2: a correlation needs two replicas")
     ens = UrnEnsemble(
         n_mc,
         theta,
@@ -262,6 +263,9 @@ def kernel_stationarity_test(
 ) -> KSReport:
     """Initialize n_chains at the base, run the kernel chain_length steps,
     and KS-test the terminal values against the base CDF."""
+    # imported here: scipy.stats is most of the package's import time
+    from scipy import stats as sps
+
     if not isinstance(base, GaussianKnownVar):
         raise ValueError("stationarity KS test supports scalar Gaussian bases")
     values = np.empty(n_chains)

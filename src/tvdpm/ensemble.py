@@ -13,6 +13,23 @@ possibly mixed with random deletion), counts are resolved into per-age
 slots: index a < depth holds units born a batches ago, and the final
 overflow slot pools everything older (any in-range window kill removes the
 whole overflow, so pooling loses nothing).
+
+Stream invariant: a step reads the generator exactly as a plain
+whole-array step does (that version is kept as the test reference), so a
+seed gives the same draws, arrays and reports.  The fast step does less
+work, never different draws:
+
+- Uniform thinning draws a binomial only for the nonzero cells, in the
+  row-major order of `rng.binomial(slot, rho)` over the whole array, rows
+  that a mixture branch masks out included (their draws are made and
+  thrown away).  NumPy's binomial returns 0 for n = 0 without touching the
+  stream, so the numbers are the same.
+- An allocation draw takes one uniform u per replica (and, with locations,
+  one normal per replica).  With the row's boxes laid end to end in column
+  order, u picks the box of unit floor(u), or a new box when u is past the
+  row's mass: the same box as counting the running column sums <= u, as
+  those sums are integers.  Finding that unit by a search instead of a scan
+  over every column reads nothing more from the generator.
 """
 
 from __future__ import annotations
@@ -46,6 +63,8 @@ class UrnEnsemble:
         """Replicas with empty urns.  With track_locations each box carries
         a location drawn from the standard-normal base, moved at every step
         by the stationary AR(1) with coefficient kernel_phi when given."""
+        if n_replicates < 1:
+            raise ValueError("n_replicates must be >= 1")
         if theta <= 0:
             raise ValueError("theta must be positive")
         if policy_uses_walk(policy):
@@ -105,23 +124,43 @@ class UrnEnsemble:
 
     # -- deletion phase -----------------------------------------------------
 
+    def _laid_out(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All units laid end to end, row after row and within a row in
+        column order: `ends` counts the units up to and including each
+        flat cell, and each row's units begin at `start` and number
+        `total`.  Unit x < total[r] of row r lies in the flat cell
+        `searchsorted(ends, start[r] + x, side="right")`."""
+        ends = np.cumsum(self._agg.reshape(-1))
+        last = ends[self.columns - 1 :: self.columns]
+        total = np.diff(last, prepend=0)
+        return ends, last - total, total
+
     def _apply(self, policy: DeletionPolicy, mask: np.ndarray, rng: np.random.Generator):
         if isinstance(policy, UniformDeletion):
             if policy.rho < 1.0:
-                for i, slot in enumerate(self._slots):
-                    thinned = rng.binomial(slot, policy.rho)
-                    self._slots[i] = np.where(mask[:, None], thinned, slot)
+                all_rows = mask.all()
+                for slot in self._slots:
+                    # the nonzero cells in the row-major order of a
+                    # whole-array draw (n = 0 draws nothing); rows outside
+                    # the mask draw too, and keep their counts
+                    cells = np.flatnonzero(slot != 0)
+                    thinned = rng.binomial(slot.take(cells), policy.rho)
+                    if not all_rows:
+                        keep = mask[cells // self.columns]
+                        cells, thinned = cells[keep], thinned[keep]
+                    np.put(slot, cells, thinned)
             self._refresh_agg()
         elif isinstance(policy, SizeBiasedDeletion):
+            # every pick reads the counts as they were before this policy
+            ends, start, masses = self._laid_out()
+            hit = mask & (masses > 0)
+            rows = self._rows[hit]
             for _ in range(policy.count):
-                masses = self._agg.sum(axis=1)
                 u = rng.random(self.R) * masses
-                cum = np.cumsum(self._agg, axis=1)
-                col = np.minimum((u[:, None] >= cum).sum(axis=1), self.columns - 1)
-                hit = mask & (masses > 0)
-                rows = self._rows[hit]
+                unit = start[hit] + u[hit].astype(np.int64)
+                col = np.searchsorted(ends, unit, side="right") - rows * self.columns
                 for slot in self._slots:
-                    slot[rows, col[hit]] = 0
+                    slot[rows, col] = 0
             self._refresh_agg()
         elif isinstance(policy, MixturePolicy):
             pick_a = rng.random(self.R) < policy.alpha
@@ -155,6 +194,8 @@ class UrnEnsemble:
         Returns the column index each of the n draws joined, shape (R, n);
         equal columns within a row mean same box.
         """
+        if n < 1:
+            raise ValueError("n must be >= 1")
         self._apply(self.policy, np.ones(self.R, dtype=bool), rng)
         self._shift_ages()
         if self._loc is not None and self.kernel_phi is not None:
@@ -163,25 +204,53 @@ class UrnEnsemble:
             self._loc = phi * self._loc + np.sqrt(1.0 - phi * phi) * noise
         self._ensure_capacity(n)
         agg = self._agg
-        current = self._slots[0]
-        ids = np.empty((self.R, n), dtype=np.int64)
+        R, B = agg.shape
+        # Draw k picks unit floor(u) of its row, the row's units laid end to
+        # end in column order.  The k earlier draws of the batch sit among
+        # the row's old units at positions `placed`, so a pick lands either
+        # on one of those or on old unit floor(u) - (earlier draws below
+        # it), which the layout of the counts before the batch locates.
+        ends, start, total = self._laid_out()
+        # with several draws a table of every unit's cell beats a search
+        # per draw; for one draw the table costs more than the search
+        cell = np.cumsum(np.bincount(ends)) if n > 1 else None
+        row_base = self._rows * B
+        # flat views: the count arrays are always C-contiguous
+        flat_counts = (agg.reshape(-1), self._slots[0].reshape(-1))
+        ids = np.empty((n, R), dtype=np.int64)
+        placed = np.empty((n, R), dtype=np.int64)
         for k in range(n):
-            total = agg.sum(axis=1)
-            u = rng.random(self.R) * (total + self.theta)
-            cum = np.cumsum(agg, axis=1)
-            col = (u[:, None] >= cum).sum(axis=1)
+            u = rng.random(R) * (total + self.theta)
             fresh = u >= total
-            free = (agg == 0).argmax(axis=1)
-            col = np.where(fresh, free, np.minimum(col, self.columns - 1))
+            unit = u.astype(np.int64)
+            if k:
+                on_draw = placed[:k] == unit
+                unit -= (placed[:k] < unit).sum(axis=0)
+            unit += start
+            if cell is None:
+                col = np.searchsorted(ends, unit, side="right") - row_base
+            else:
+                col = cell.take(unit, mode="clip") - row_base
+            if k:
+                joined = on_draw.any(axis=0)
+                col[joined] = (ids[:k] * on_draw).sum(axis=0)[joined]
+            opened = self._rows[fresh]
+            col[opened] = (agg[opened] == 0).argmax(axis=1)
             if self._loc is not None:
-                draws = rng.normal(0.0, 1.0, size=self.R)
-                rows = self._rows[fresh]
-                self._loc[rows, col[fresh]] = draws[fresh]
-            agg[self._rows, col] += 1
-            current[self._rows, col] += 1
-            ids[:, k] = col
+                draws = rng.normal(0.0, 1.0, size=R)
+                self._loc[opened, col[opened]] = draws[opened]
+            cells = row_base + col
+            if k < n - 1:
+                # this draw goes after every unit in columns <= col
+                at = ends.take(cells) - start + (ids[:k] <= col).sum(axis=0)
+                placed[:k] += placed[:k] >= at
+                placed[k] = at
+            for flat in flat_counts:
+                flat[cells] += 1
+            ids[k] = col
+            total += 1
         self.time += 1
-        return ids
+        return ids.T.copy()
 
     # -- observables ----------------------------------------------------------
 

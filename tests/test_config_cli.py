@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import tvdpm
 from tvdpm.cli import main
 from tvdpm.config import ConfigError, build_policy, load_config, validate_config
 from tvdpm.urn import MixturePolicy, SlidingWindow, UniformDeletion
@@ -206,6 +207,18 @@ class TestCli:
         )
         assert proc.returncode == 2
 
+    def test_cli_import_leaves_out_scipy_stats(self):
+        # scipy.stats costs most of the package's import time, and only the
+        # kernel stationarity check uses it
+        src = str(pathlib.Path(tvdpm.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, tvdpm.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_smc_run_and_determinism(self, tmp_path):
         data = tmp_path / "data.jsonl"
         run_cli(["gen-data", "--preset", "paper-4.1-scaled", "--seed", "3", "--out", str(data)])
@@ -286,6 +299,7 @@ class TestCli:
             (["correlation", "--theta", "0", "--rho", "0.5", "--n-mc", "5", "--seed", "2"], "--theta"),
             (["correlation", "--theta", "1", "--rho", "1.5", "--n-mc", "5", "--seed", "2"], "--rho"),
             (["correlation", "--theta", "1", "--rho", "0.5", "--n-mc", "0", "--seed", "2"], "--n-mc"),
+            (["correlation", "--theta", "1", "--rho", "0.5", "--n-mc", "1", "--seed", "2"], "--n-mc"),
             (["correlation", "--theta", "3", "--rho", "0.5", "--kernel-phi", "1.5", "--n-mc", "50",
               "--burn-in", "5", "--seed", "2"], "--kernel-phi"),
             (["simulate", "--theta", "1", "--policy", POLICY, "--n", "1", "--steps", "-3", "--seed", "0"], "--steps"),
@@ -298,8 +312,9 @@ class TestCli:
         ],
         ids=["gen-data-seed", "simulate-seed", "validate-seed", "smc-seed", "mcmc-seed",
              "correlation-seed", "simulate-theta", "simulate-n", "correlation-theta",
-             "correlation-rho", "correlation-n-mc", "correlation-kernel-phi", "simulate-steps",
-             "correlation-burn-in", "correlation-taus-negative", "correlation-taus-not-integers"],
+             "correlation-rho", "correlation-n-mc", "correlation-n-mc-one", "correlation-kernel-phi",
+             "simulate-steps", "correlation-burn-in", "correlation-taus-negative",
+             "correlation-taus-not-integers"],
     )
     def test_bad_numeric_flag_is_usage_error(self, tmp_path, args, flag):
         # a valid config, so only the flag can be at fault

@@ -114,6 +114,11 @@ class TestCorrelationCurve:
         lo = mean_correlation_curve(3.0, 0.9, [1, 5], 3_000, 100, rng)
         assert all(h > l for h, l in zip(hi.correlations, lo.correlations))
 
+    def test_one_replica_rejected(self, rng):
+        # a correlation over a single replica is nan
+        with pytest.raises(ValueError, match="n_mc"):
+            mean_correlation_curve(3.0, 0.9, [0, 1], 1, 5, rng)
+
     def test_csv_rows(self):
         curve = CorrelationCurve([0, 1], [1.0, 0.8], 3.0, 0.9, 100, 10)
         rows = list(curve.csv_rows())

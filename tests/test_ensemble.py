@@ -20,7 +20,7 @@ from tvdpm.urn import (
     step,
 )
 
-from .oracles import tv
+from .oracles import ReferenceUrnEnsemble, tv
 
 POLICIES = {
     "uniform": UniformDeletion(0.7),
@@ -114,3 +114,74 @@ def test_column_growth_under_pressure(rng):
     for _ in range(30):
         ens.step(6, rng)
     assert (ens.total_mass() >= 6).all()
+
+
+@pytest.mark.parametrize("R", [0, -1])
+def test_no_replicas_rejected(R):
+    with pytest.raises(ValueError, match="n_replicates"):
+        UrnEnsemble(R, 1.0, UniformDeletion(0.5))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_empty_batch_rejected(n, rng):
+    # as urn.allocate_batch: a step without draws is an error, not a no-op
+    ens = UrnEnsemble(10, 1.0, UniformDeletion(0.5))
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        ens.step(n, rng)
+    assert ens.time == 0 and rng.bit_generator.state == state
+
+
+# -- pinned against the replica bank it replaced -----------------------------
+
+REFERENCE_POLICIES = {
+    "uniform-0": UniformDeletion(0.0),
+    "uniform-0.5": UniformDeletion(0.5),
+    "uniform-1": UniformDeletion(1.0),
+    "size-biased-1": SizeBiasedDeletion(1),
+    "size-biased-2": SizeBiasedDeletion(2),
+    "mixture": MixturePolicy(0.6, UniformDeletion(0.7), SizeBiasedDeletion()),
+    "compose": ComposePolicy([UniformDeletion(0.8), SizeBiasedDeletion()]),
+    "window-1": SlidingWindow(1),
+    "window-3": SlidingWindow(3),
+    "window-1+uniform": ComposePolicy([SlidingWindow(1), UniformDeletion(0.6)]),
+    "uniform+window-3": ComposePolicy([UniformDeletion(0.6), SlidingWindow(3)]),
+}
+REFERENCE_SIZES = [(R, n) for R in (1, 50, 3000) for n in (1, 5, 20)]
+REFERENCE_STEPS = 10
+
+
+def assert_steps_equal_reference(R, n, theta, policy, seed, **kw):
+    """Step the ensemble and the reference side by side from equally seeded
+    generators; after every step the draws, the arrays and the generator
+    state must be equal."""
+    fast, ref = UrnEnsemble(R, theta, policy, **kw), ReferenceUrnEnsemble(R, theta, policy, **kw)
+    fast_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(REFERENCE_STEPS):
+        np.testing.assert_array_equal(fast.step(n, fast_rng), ref.step(n, ref_rng))
+        assert (fast.time, fast.columns) == (ref.time, ref.columns)
+        assert len(fast._slots) == len(ref._slots)
+        for a, b in zip(fast._slots, ref._slots):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(fast._agg, ref._agg)
+        if ref._loc is None:
+            assert fast._loc is None
+        else:
+            np.testing.assert_array_equal(fast._loc, ref._loc)
+        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("R,n", REFERENCE_SIZES)
+@pytest.mark.parametrize("name", sorted(REFERENCE_POLICIES))
+def test_steps_equal_reference(name, R, n):
+    # n = 20 is wider than the 16 initial columns: growth, then compaction
+    assert_steps_equal_reference(R, n, 1.3, REFERENCE_POLICIES[name], seed=R + n)
+
+
+@pytest.mark.parametrize("R,n", REFERENCE_SIZES)
+@pytest.mark.parametrize("phi", [None, 0.8, -1.0])
+def test_locations_equal_reference(phi, R, n):
+    policy = MixturePolicy(0.7, UniformDeletion(0.9), SizeBiasedDeletion())
+    assert_steps_equal_reference(
+        R, n, 3.0, policy, seed=R + n, track_locations=True, kernel_phi=phi
+    )
