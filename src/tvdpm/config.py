@@ -10,7 +10,6 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .kernels import GaussianAR1, GaussianKnownVar, NormalInverseGamma, StaticKernel, SymmetricDirichlet
@@ -68,6 +67,8 @@ def load_config(path) -> ExperimentConfig:
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
+    import jsonschema  # imported here: only commands that read a config need it
+
     try:
         jsonschema.validate(raw, _schema())
     except jsonschema.ValidationError as exc:

@@ -151,17 +151,18 @@ class UrnEnsemble:
                     np.put(slot, cells, thinned)
             self._refresh_agg()
         elif isinstance(policy, SizeBiasedDeletion):
-            # every pick reads the counts as they were before this policy
-            ends, start, masses = self._laid_out()
-            hit = mask & (masses > 0)
-            rows = self._rows[hit]
+            # each pick reads the counts the previous pick left, as
+            # `urn.apply_policy` does; a row emptied by a pick draws no more
             for _ in range(policy.count):
+                ends, start, masses = self._laid_out()
+                hit = mask & (masses > 0)
+                rows = self._rows[hit]
                 u = rng.random(self.R) * masses
                 unit = start[hit] + u[hit].astype(np.int64)
                 col = np.searchsorted(ends, unit, side="right") - rows * self.columns
                 for slot in self._slots:
                     slot[rows, col] = 0
-            self._refresh_agg()
+                self._refresh_agg()
         elif isinstance(policy, MixturePolicy):
             pick_a = rng.random(self.R) < policy.alpha
             self._apply(policy.policy_a, mask & pick_a, rng)

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .kernels import (
     FiniteAtomic,
@@ -72,11 +71,12 @@ def _norm_logpdf(x: float, mean: float, var: float) -> float:
     return -0.5 * (_LOG_2PI + math.log(var)) - (x - mean) ** 2 / (2.0 * var)
 
 
-def student_t_logpdf(x, df, loc, scale):
+def student_t_logpdf(x, df: float, loc, scale):
+    """Student-t log-density, broadcast over x, loc and scale; df is a scalar."""
     z = (x - loc) / scale
     return (
-        gammaln((df + 1.0) / 2.0)
-        - gammaln(df / 2.0)
+        math.lgamma((df + 1.0) / 2.0)
+        - math.lgamma(df / 2.0)
         - 0.5 * np.log(df * np.pi)
         - np.log(scale)
         - (df + 1.0) / 2.0 * np.log1p(z * z / df)
@@ -99,8 +99,29 @@ def _log_sum_exp(values) -> float:
     return top + math.log(sum(math.exp(v - top) for v in values))
 
 
+def log_sum_exp_array(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a 1-d float array, non-finite when every entry is
+    -inf (or any is +inf or nan).
+
+    The entries tied at the max are taken out of the sum and counted: the
+    result is log1p(s / m) + log(m) + max, with s the sum of exp(a - max)
+    over the other entries and m the tie count.  log1p keeps the digits of a
+    sum dominated by its largest term, and this is the form (and the order
+    of operations) of scipy.special.logsumexp, so the SMC normaliser equals
+    scipy's bit for bit without importing scipy.
+    """
+    top = a.max()
+    tied = a == top
+    count = float(np.count_nonzero(tied))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        shifted = np.exp(a - top)
+        shifted[tied] = 0.0
+        s = shifted.sum() / count
+        return float(np.log1p(s) + np.log(count) + top)
+
+
 def _invgamma_logpdf(x, shape, rate):
-    return shape * math.log(rate) - gammaln(shape) - (shape + 1.0) * math.log(x) - rate / x
+    return shape * math.log(rate) - math.lgamma(shape) - (shape + 1.0) * math.log(x) - rate / x
 
 
 class GaussianModel:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "CountsVector",
@@ -105,21 +104,19 @@ def esf_log_prob(a: CountsVector, theta: float) -> float:
     if theta <= 0:
         raise ValueError("theta must be positive")
     n = a.n
-    out = gammaln(n + 1) - (gammaln(theta + n) - gammaln(theta))
+    out = math.lgamma(n + 1) - (math.lgamma(theta + n) - math.lgamma(theta))
     for j, aj in enumerate(a.counts, start=1):
         if aj:
-            out += aj * (np.log(theta) - np.log(j)) - gammaln(aj + 1)
+            out += aj * (np.log(theta) - np.log(j)) - math.lgamma(aj + 1)
     return float(out)
 
 
-def sample_categorical(weights: Sequence[float], rng: np.random.Generator) -> int:
-    """Index i with probability weights[i] / sum(weights), by inverse CDF.
-
-    Every categorical draw in the package goes through here: one uniform per
-    draw, scanned against the running sum with an early exit.  If rounding
-    leaves the uniform at or past the total, the last index is returned.
-    """
-    u = rng.random() * sum(weights)
+def _inverse_cdf(weights: Sequence[float], total: float, rng: np.random.Generator) -> int:
+    """Every categorical draw in the package goes through here: one uniform
+    per draw, scaled by `total` (the sum of the weights) and scanned against
+    the running sum with an early exit.  If rounding leaves the uniform at or
+    past the total, the last index is returned."""
+    u = rng.random() * total
     acc = 0.0
     for i, w in enumerate(weights):
         acc += w
@@ -128,15 +125,22 @@ def sample_categorical(weights: Sequence[float], rng: np.random.Generator) -> in
     return len(weights) - 1
 
 
+def sample_categorical(weights: Sequence[float], rng: np.random.Generator) -> int:
+    """Index i with probability weights[i] / sum(weights), by inverse CDF."""
+    return _inverse_cdf(weights, sum(weights), rng)
+
+
 def sample_log_categorical(log_scores: Sequence[float], rng: np.random.Generator) -> tuple[int, float]:
     """`sample_categorical` on unnormalised log-scores (shifted by their max).
 
-    Returns the drawn index and its normalised probability.
+    Returns the drawn index and its normalised probability; the weights are
+    summed once, for the draw and the probability both.
     """
     top = max(log_scores)
     weights = [math.exp(s - top) for s in log_scores]
-    i = sample_categorical(weights, rng)
-    return i, weights[i] / sum(weights)
+    total = sum(weights)
+    i = _inverse_cdf(weights, total, rng)
+    return i, weights[i] / total
 
 
 def polya_urn_sample(n: int, theta: float, rng: np.random.Generator) -> list[int]:

@@ -6,7 +6,11 @@ locations for newborn boxes, and accumulate the importance-weight ratio;
 then normalize, check the effective sample size, and resample
 systematically when it drops below the configured fraction.
 
-Weights live in log space throughout.  Each particle slot owns an
+Weights live in log space throughout.  They are normalised by
+`models.log_sum_exp_array`, which takes the entries tied at the max out of
+the sum: that keeps the digits of a sum dominated by its largest weight, and
+it is the form scipy.special.logsumexp computes, so the weights equal those
+of a step normalised by scipy bit for bit.  Each particle slot owns an
 independent RNG stream spawned from the caller's generator at
 initialization, so a fixed master seed fixes the run regardless of how the
 per-particle work would be scheduled; resampling draws from a dedicated
@@ -19,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .kernels import GaussianAR1, StaticKernel
 from .models import (
@@ -27,6 +30,7 @@ from .models import (
     KnownVarGaussianModel,
     ObservationBatch,
     TopicModel,
+    log_sum_exp_array,
     normal_logpdf,
     stats_of,
 )
@@ -301,7 +305,7 @@ def advance(
         particle.locations = locations
         n_new[i] = log_inc
     population.log_weights = population.log_weights + n_new
-    norm = logsumexp(population.log_weights)
+    norm = log_sum_exp_array(population.log_weights)
     if not np.isfinite(norm):
         raise DegeneracyError(batch.time)
     population.log_weights = population.log_weights - norm
@@ -394,13 +398,15 @@ def run_filter(
     rng: np.random.Generator,
 ):
     """Filter a whole observation stream, yielding one record per step; the
-    record carries the density estimate when the config has a grid.  Setups
-    the filter cannot run are rejected before the first step."""
+    record carries the density estimate when the config has a grid (every
+    record holds the same grid list).  Setups the filter cannot run are
+    rejected before the first step."""
     if isinstance(model, TopicModel) and config.proposal == "conjugate":
         raise ValueError("the topic model has no conjugate proposal: use proposal='prior'")
     if config.grid is not None:
         _density_component(model)
     population = init_particles(config, rng)
+    grid = None if config.grid is None else np.asarray(config.grid, dtype=float).tolist()
     for batch in batches:
         info = advance(population, batch, model, kernel, config)
         record = {
@@ -413,8 +419,5 @@ def run_filter(
             record["rho_post"] = estimate_rho(population)
         if config.grid is not None:
             est = estimate_density(population, config.grid, model)
-            record["density"] = {
-                "grid": [float(x) for x in est.grid],
-                "values": [float(v) for v in est.values],
-            }
+            record["density"] = {"grid": grid, "values": est.values.tolist()}
         yield record, population

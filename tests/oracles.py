@@ -738,7 +738,7 @@ class ReferenceUrnEnsemble:
                 rows = self._rows[hit]
                 for slot in self._slots:
                     slot[rows, col[hit]] = 0
-            self._refresh_agg()
+                self._refresh_agg()  # the next pick reads what this one left
         elif isinstance(policy, MixturePolicy):
             pick_a = rng.random(self.R) < policy.alpha
             self._apply(policy.policy_a, mask & pick_a, rng)

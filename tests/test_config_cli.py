@@ -66,6 +66,44 @@ class TestConfig:
         assert build_policy({"type": "uniform", "rho": 0.4}) == UniformDeletion(0.4)
 
 
+def write_stream(tmp_path, records):
+    data = tmp_path / "data.jsonl"
+    data.write_text("".join(json.dumps(r) + "\n" for r in records))
+    cfg = json.loads(json.dumps(GOOD_CONFIG))
+    cfg["data"] = {"path": str(data)}
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return ["smc", "--config", str(cfg_path), "--out", str(tmp_path / "o.jsonl")]
+
+
+def write_corpus(tmp_path, records):
+    data = tmp_path / "corpus.jsonl"
+    vocab = tmp_path / "vocab.txt"
+    data.write_text("".join(json.dumps(r) + "\n" for r in records))
+    vocab.write_text("".join(f"w{i}\n" for i in range(4)))
+    cfg = {
+        "seed": 3,
+        "theta": 0.5,
+        "model": {"type": "topic", "theta_v": 0.5, "vocab_size": 4},
+        "policy": {"type": "uniform", "rho": 0.4},
+        "inference": {"method": "mcmc", "rho": 0.4, "sweeps": 1},
+        "data": {"path": str(data), "vocab_path": str(vocab)},
+    }
+    cfg_path = tmp_path / "m.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return ["mcmc", "--config", str(cfg_path), "--out", str(tmp_path / "o.jsonl")]
+
+
+def fresh_python(code: str) -> str:
+    """Run `code` in a new interpreter that imports this checkout's tvdpm;
+    returns its stripped stdout."""
+    src = str(pathlib.Path(tvdpm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def run_cli(args):
     import io
     from contextlib import redirect_stderr, redirect_stdout
@@ -208,16 +246,27 @@ class TestCli:
         assert proc.returncode == 2
 
     def test_cli_import_leaves_out_scipy_stats(self):
-        # scipy.stats costs most of the package's import time, and only the
-        # kernel stationarity check uses it
-        src = str(pathlib.Path(tvdpm.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, tvdpm.cli; print('scipy.stats' in sys.modules)"],
-            capture_output=True, text=True, env=env,
+        # scipy costs most of the package's import time: only the kernel
+        # stationarity check uses it (scipy.stats), and jsonschema is loaded
+        # only where a config or a --policy is read
+        out = fresh_python(
+            "import sys, tvdpm.cli\n"
+            "print([m for m in ('scipy.stats', 'scipy.special', 'jsonschema') if m in sys.modules])"
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert out == "[]"
+
+    @pytest.mark.parametrize("reader", [write_stream, write_corpus], ids=["smc", "mcmc"])
+    def test_inference_runs_without_scipy(self, tmp_path, reader):
+        key = "values" if reader is write_stream else "words"
+        args = reader(tmp_path, [{"t": 1, key: [1, 2]}, {"t": 2, key: [0, 3]}])
+        out = fresh_python(
+            "import sys\n"
+            "from tvdpm.cli import main\n"
+            f"assert main({args!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        )
+        assert out == "[]"
+        assert (tmp_path / "o.jsonl").read_text()
 
     def test_smc_run_and_determinism(self, tmp_path):
         data = tmp_path / "data.jsonl"
@@ -334,34 +383,6 @@ class TestCli:
         assert "OK" in out
         data = json.loads(report.read_text())
         assert data["passed"] is True
-
-
-def write_stream(tmp_path, records):
-    data = tmp_path / "data.jsonl"
-    data.write_text("".join(json.dumps(r) + "\n" for r in records))
-    cfg = json.loads(json.dumps(GOOD_CONFIG))
-    cfg["data"] = {"path": str(data)}
-    cfg_path = tmp_path / "c.json"
-    cfg_path.write_text(json.dumps(cfg))
-    return ["smc", "--config", str(cfg_path), "--out", str(tmp_path / "o.jsonl")]
-
-
-def write_corpus(tmp_path, records):
-    data = tmp_path / "corpus.jsonl"
-    vocab = tmp_path / "vocab.txt"
-    data.write_text("".join(json.dumps(r) + "\n" for r in records))
-    vocab.write_text("".join(f"w{i}\n" for i in range(4)))
-    cfg = {
-        "seed": 3,
-        "theta": 0.5,
-        "model": {"type": "topic", "theta_v": 0.5, "vocab_size": 4},
-        "policy": {"type": "uniform", "rho": 0.4},
-        "inference": {"method": "mcmc", "rho": 0.4, "sweeps": 1},
-        "data": {"path": str(data), "vocab_path": str(vocab)},
-    }
-    cfg_path = tmp_path / "m.json"
-    cfg_path.write_text(json.dumps(cfg))
-    return ["mcmc", "--config", str(cfg_path), "--out", str(tmp_path / "o.jsonl")]
 
 
 class TestBadData:

@@ -25,6 +25,7 @@ from .oracles import ReferenceUrnEnsemble, tv
 POLICIES = {
     "uniform": UniformDeletion(0.7),
     "size_biased": SizeBiasedDeletion(),
+    "size_biased_2": SizeBiasedDeletion(2),
     "mixture": MixturePolicy(0.9, UniformDeletion(0.6), SizeBiasedDeletion()),
     "compose": ComposePolicy([UniformDeletion(0.8), SizeBiasedDeletion()]),
     "window": SlidingWindow(2),
@@ -53,6 +54,21 @@ def test_ensemble_matches_object_urn(name, rng):
     vec_law = batch_partition_distribution(ids)
     obj_law = object_urn_law(policy, n, theta, t_check, n_mc, rng)
     assert tv(vec_law, obj_law) < 0.03
+
+
+def test_size_biased_count_two_removes_two_boxes(rng):
+    # one 2-draw batch makes at most two boxes, so a count-2 deletion empties
+    # every urn: each pick reads the counts the previous pick left
+    policy = SizeBiasedDeletion(2)
+    ens = UrnEnsemble(2_000, 1.0, policy)
+    for _ in range(2):
+        ens.step(2, rng)
+    assert (ens.total_mass() == 2).all()
+    for _ in range(200):
+        state = UrnState.for_policy(1.0, policy)
+        for _ in range(2):
+            state, _ = step(state, policy, 2, rng)
+        assert state.total_mass == 2
 
 
 def test_mass_without_deletion(rng):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln, logsumexp
 
 from tvdpm.kernels import FiniteAtomic, GaussianKnownVar, NormalInverseGamma, SymmetricDirichlet
 from tvdpm.models import (
@@ -12,9 +13,12 @@ from tvdpm.models import (
     ObservationBatch,
     DataError,
     TopicModel,
+    _invgamma_logpdf,
+    log_sum_exp_array,
     read_corpus,
     read_observation_batches,
     stats_of,
+    student_t_logpdf,
 )
 
 from .oracles import dirichlet_predictive_k2, nig_posterior_mean_of_mean, nig_prior_predictive
@@ -70,6 +74,56 @@ class TestGaussianPosterior:
         stats = stats_of(model, [-5.0])
         draws = np.array([model.posterior_sample_from_stats(stats, rng)[0] for _ in range(2_000)])
         assert abs(draws.mean() - 2.0) < 1e-4
+
+
+class TestWithoutScipy:
+    """The package's log-gamma and log-sum-exp, pinned against scipy's."""
+
+    @pytest.mark.parametrize("df", [0.5, 1.0, 2.5, 7.0, 30.0, 1e4])
+    def test_student_t_logpdf_matches_gammaln(self, df, rng):
+        x = rng.normal(0.0, 5.0, size=200)
+        loc = rng.normal(0.0, 1.0, size=200)
+        scale = rng.uniform(0.05, 4.0, size=200)
+        z = (x - loc) / scale
+        want = (
+            gammaln((df + 1.0) / 2.0)
+            - gammaln(df / 2.0)
+            - 0.5 * np.log(df * np.pi)
+            - np.log(scale)
+            - (df + 1.0) / 2.0 * np.log1p(z * z / df)
+        )
+        got = student_t_logpdf(x, df, loc, scale)
+        assert got.shape == x.shape
+        # the two log-gammas cancel, so the tolerance is relative to them
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * (gammaln((df + 1.0) / 2.0) + 1.0))
+
+    @pytest.mark.parametrize("shape", [0.3, 1.0, 2.5, 40.0, 1e3])
+    def test_invgamma_logpdf_matches_gammaln(self, shape):
+        for x in (1e-3, 0.2, 1.0, 3.7, 250.0):
+            for rate in (0.1, 1.0, 9.0):
+                want = shape * math.log(rate) - gammaln(shape) - (shape + 1.0) * math.log(x) - rate / x
+                scale = abs(gammaln(shape)) + 1.0
+                assert _invgamma_logpdf(x, shape, rate) == pytest.approx(want, rel=1e-13, abs=1e-13 * scale)
+
+    def test_log_sum_exp_equals_scipy_bit_for_bit(self, rng):
+        cases = [np.array([2.5]), np.array([-np.inf, -1.0, -np.inf]), np.array([3.0, 3.0, 3.0])]
+        for _ in range(2_000):
+            n = int(rng.integers(1, 600))
+            a = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 3.0), size=n)
+            tied = rng.random(n) < rng.uniform(0.0, 0.5)
+            a[tied] = a.max()
+            cases.append(a)
+            b = a.copy()
+            b[rng.random(n) < 0.5] = -np.inf
+            b[rng.integers(n)] = rng.normal()  # at least one finite entry
+            cases.append(b)
+        for a in cases:
+            assert log_sum_exp_array(a) == float(logsumexp(a))
+
+    def test_log_sum_exp_of_nothing_alive_is_not_finite(self):
+        # smc.advance raises DegeneracyError on a non-finite normaliser
+        assert log_sum_exp_array(np.full(4, -np.inf)) == -np.inf
+        assert math.isnan(log_sum_exp_array(np.array([0.0, np.nan])))
 
 
 class TestGaussianPredictive:

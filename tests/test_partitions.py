@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from tvdpm.partitions import (
     CountsVector,
@@ -79,6 +80,25 @@ class TestEsfLogProb:
     def test_bad_theta(self):
         with pytest.raises(ValueError):
             esf_log_prob(CountsVector((1,)), 0.0)
+
+    @pytest.mark.parametrize("theta", [0.3, 1.5, 40.0])
+    def test_log_gamma_matches_scipy(self, theta, rng):
+        # the formula with scipy's gammaln; the terms reach lgamma(n + 1)
+        # and cancel, so the tolerance is relative to that largest term
+        def by_gammaln(a):
+            n = a.n
+            out = gammaln(n + 1) - (gammaln(theta + n) - gammaln(theta))
+            for j, aj in enumerate(a.counts, start=1):
+                if aj:
+                    out += aj * (np.log(theta) - np.log(j)) - gammaln(aj + 1)
+            return float(out)
+
+        cases = [CountsVector.from_box_sizes(s) for s in ([2000, 1000], [1] * 3000, [3000], [1])]
+        for n in (2, 7, 25, 300, 2500, 6000):
+            cases.append(counts_of(polya_urn_sample(n, theta, rng)))
+        for a in cases:
+            scale = float(gammaln(a.n + 1 + theta)) + 1.0
+            assert esf_log_prob(a, theta) == pytest.approx(by_gammaln(a), rel=1e-13, abs=1e-13 * scale)
 
 
 class TestEnumeratePartitions:
