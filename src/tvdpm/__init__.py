@@ -5,7 +5,7 @@ Ewens-distributed), stationary cluster-location kernels, online SMC and
 batch MCMC inference, and a statistical validation suite.
 """
 
-from .partitions import CountsVector, counts_of, enumerate_partitions, esf_log_prob, polya_urn_sample
+from .partitions import CountsVector, enumerate_partitions, esf_log_prob
 from .urn import (
     ComposePolicy,
     MixturePolicy,

@@ -140,16 +140,12 @@ def build_filter_config(cfg: ExperimentConfig) -> FilterConfig:
     policy = build_policy(cfg.policy)
     if policy_uses_walk(policy) and walk is None:
         raise ConfigError("policy references the rho walk but inference.rho_walk is missing")
-    proposal = inf.get("proposal", "conjugate")
-    if cfg.model["type"] == "topic" and proposal != "prior":
-        raise ConfigError('the topic model has no conjugate proposal: smc needs "proposal": "prior"')
     if cfg.model["type"] == "topic" and grid is not None:
         raise ConfigError("density estimation (inference.grid) needs a Gaussian observation model")
     return FilterConfig(
         n_particles=inf["n_particles"],
         theta=cfg.theta,
         policy=policy,
-        proposal=proposal,
         ess_threshold_fraction=inf.get("ess_threshold_fraction", 0.5),
         rho_walk=RhoWalk(walk["a_rho"], walk["rho0"]) if walk else None,
         grid=grid,

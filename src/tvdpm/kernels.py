@@ -16,6 +16,8 @@ from typing import Union
 
 import numpy as np
 
+from .partitions import sample_categorical
+
 __all__ = [
     "NormalInverseGamma",
     "GaussianKnownVar",
@@ -101,8 +103,7 @@ def sample_base(base: BaseMeasure, rng: np.random.Generator):
         alpha = np.full(base.vocab_size, base.theta_v / base.vocab_size)
         return rng.dirichlet(alpha)
     if isinstance(base, FiniteAtomic):
-        idx = rng.choice(len(base.atoms), p=base.weights)
-        return float(base.atoms[idx])
+        return float(base.atoms[sample_categorical(base.weights, rng)])
     raise TypeError(f"unknown base measure {base!r}")
 
 

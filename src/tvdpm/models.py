@@ -120,10 +120,6 @@ def log_sum_exp_array(a: np.ndarray) -> float:
         return float(np.log1p(s) + np.log(count) + top)
 
 
-def _invgamma_logpdf(x, shape, rate):
-    return shape * math.log(rate) - math.lgamma(shape) - (shape + 1.0) * math.log(x) - rate / x
-
-
 class GaussianModel:
     """Gaussian mixed density with NormalInverseGamma base.
 
@@ -194,20 +190,6 @@ class GaussianModel:
         mu_n, kappa_n, nu_n, lam_n = self._posterior_params(stats)
         scale = math.sqrt(lam_n * (kappa_n + 1.0) / (kappa_n * nu_n))
         return np.exp(student_t_logpdf(grid, nu_n, mu_n, scale))
-
-    def base_log_density(self, u) -> float:
-        mean, var = u
-        b = self.base
-        out = _invgamma_logpdf(var, b.nu0 / 2.0, b.lambda0 / 2.0)
-        out += float(normal_logpdf(mean, b.mu0, var / b.kappa0))
-        return out
-
-    def posterior_log_density(self, stats, u) -> float:
-        mean, var = u
-        mu_n, kappa_n, nu_n, lam_n = self._posterior_params(stats)
-        out = _invgamma_logpdf(var, nu_n / 2.0, lam_n / 2.0)
-        out += float(normal_logpdf(mean, mu_n, var / kappa_n))
-        return out
 
 
 class KnownVarGaussianModel:
@@ -311,25 +293,6 @@ class KnownVarGaussianModel:
             return out
         mean, var = self._posterior_mean_var(stats)
         return np.exp(normal_logpdf(np.asarray(grid, dtype=float), mean, var + self._obs_var))
-
-    def base_log_density(self, u) -> float:
-        if self._atomic:
-            for a, lw in zip(self._atoms, self._log_w):
-                if math.isclose(a, u):
-                    return lw
-            return NEG_INF
-        b = self.base
-        return _norm_logpdf(u, b.mu0, b.sigma0 * b.sigma0)
-
-    def posterior_log_density(self, stats, u) -> float:
-        if self._atomic:
-            logp = self._atom_log_posts(stats)
-            for a, lp in zip(self._atoms, logp):
-                if math.isclose(a, u):
-                    return lp
-            return NEG_INF
-        mean, var = self._posterior_mean_var(stats)
-        return _norm_logpdf(u, mean, var)
 
 
 class TopicModel:

@@ -1,4 +1,4 @@
-"""Random partitions of n, the Ewens sampling formula, and the static Polya urn.
+"""Random partitions of n, the Ewens sampling formula, and categorical draws.
 
 Everything else in the package is ultimately checked against this module:
 the urn processes must leave the partition law invariant, and that law is
@@ -8,21 +8,17 @@ computable here exactly (small n, by enumeration) or in closed form.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "CountsVector",
-    "counts_of",
     "enumerate_partitions",
     "esf_log_prob",
-    "polya_urn_sample",
     "sample_categorical",
     "sample_log_categorical",
-    "validate_allocation",
 ]
 
 MAX_ENUMERATION_N = 25
@@ -52,45 +48,12 @@ class CountsVector:
         """Number of balls (length of the counts vector by convention)."""
         return len(self.counts)
 
-    @property
-    def num_boxes(self) -> int:
-        return sum(self.counts)
-
-    @classmethod
-    def from_box_sizes(cls, sizes: Iterable[int]) -> "CountsVector":
-        sizes = list(sizes)
-        if not sizes or any(s < 1 for s in sizes):
-            raise ValueError("box sizes must be positive and non-empty")
-        n = sum(sizes)
-        counts = [0] * n
-        for s in sizes:
-            counts[s - 1] += 1
-        return cls(tuple(counts))
-
     def box_sizes(self) -> tuple[int, ...]:
         """Box sizes in descending order, e.g. (2, 2, 1) for n = 5."""
         sizes = []
         for j, c in enumerate(self.counts, start=1):
             sizes.extend([j] * c)
         return tuple(sorted(sizes, reverse=True))
-
-
-def validate_allocation(labels: Sequence[int]) -> None:
-    """Check order-of-appearance labelling: c_1 = 1, each new label = max + 1."""
-    seen_max = 0
-    for c in labels:
-        if c == seen_max + 1:
-            seen_max += 1
-        elif not (1 <= c <= seen_max):
-            raise ValueError(f"label {c} breaks order-of-appearance labelling")
-
-
-def counts_of(labels: Sequence) -> CountsVector:
-    """Partition induced by an allocation vector (any hashable labels)."""
-    if not labels:
-        raise ValueError("empty allocation")
-    freq = Counter(labels)
-    return CountsVector.from_box_sizes(freq.values())
 
 
 def esf_log_prob(a: CountsVector, theta: float) -> float:
@@ -133,37 +96,13 @@ def sample_categorical(weights: Sequence[float], rng: np.random.Generator) -> in
 def sample_log_categorical(log_scores: Sequence[float], rng: np.random.Generator) -> tuple[int, float]:
     """`sample_categorical` on unnormalised log-scores (shifted by their max).
 
-    Returns the drawn index and its normalised probability; the weights are
-    summed once, for the draw and the probability both.
+    Returns the drawn index and the log-normaliser log(sum(exp(log_scores))),
+    from the one sum the draw already needs.
     """
     top = max(log_scores)
     weights = [math.exp(s - top) for s in log_scores]
     total = sum(weights)
-    i = _inverse_cdf(weights, total, rng)
-    return i, weights[i] / total
-
-
-def polya_urn_sample(n: int, theta: float, rng: np.random.Generator) -> list[int]:
-    """One draw of n seatings from the standard Polya urn (CRP).
-
-    Returns an allocation vector with labels in order of appearance: the
-    k-th ball joins box i with probability m_i / (k - 1 + theta) and opens
-    a new box with probability theta / (k - 1 + theta).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    labels = [1]
-    weights = [1, theta]  # box sizes, then the new-box weight
-    for _ in range(2, n + 1):
-        chosen = sample_categorical(weights, rng) + 1
-        if chosen == len(weights):
-            weights.insert(-1, 1)
-        else:
-            weights[chosen - 1] += 1
-        labels.append(chosen)
-    return labels
+    return _inverse_cdf(weights, total, rng), top + math.log(total)
 
 
 def enumerate_partitions(n: int) -> list[CountsVector]:

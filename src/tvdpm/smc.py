@@ -1,10 +1,14 @@
 """Sequential Monte Carlo for the time-varying DPM.
 
 One step per particle: sample the deletion (and the random-walk survival
-probability when enabled), propose the batch's allocations, propose
-locations for newborn boxes, and accumulate the importance-weight ratio;
-then normalize, check the effective sample size, and resample
-systematically when it drops below the configured fraction.
+probability when enabled), move the surviving boxes' parameters by the
+kernel, allocate the batch's observations one at a time from the locally
+optimal proposal (Fearnhead 2004), whose log-normaliser less
+log(M + theta) is the observation's log predictive and so its weight
+increment, and draw each newborn box's parameter from the conjugate
+posterior of its observations; then normalize, check the effective sample
+size, and resample systematically when it drops below the configured
+fraction.
 
 Weights live in log space throughout.  They are normalised by
 `models.log_sum_exp_array`, which takes the entries tied at the max out of
@@ -24,12 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import GaussianAR1, StaticKernel
+from .kernels import StaticKernel
 from .models import (
     GaussianModel,
     KnownVarGaussianModel,
     ObservationBatch,
-    TopicModel,
     log_sum_exp_array,
     normal_logpdf,
     stats_of,
@@ -82,7 +85,6 @@ class FilterConfig:
     n_particles: int
     theta: float
     policy: object
-    proposal: str = "conjugate"
     ess_threshold_fraction: float = 0.5
     rho_walk: RhoWalk | None = None
     grid: np.ndarray | None = None
@@ -92,8 +94,6 @@ class FilterConfig:
             raise ValueError("n_particles must be >= 1")
         if not 0.0 < self.ess_threshold_fraction <= 1.0:
             raise ValueError("ess_threshold_fraction must lie in (0, 1]")
-        if self.proposal not in ("prior", "conjugate"):
-            raise ValueError("proposal must be 'prior' or 'conjugate'")
 
 
 @dataclass
@@ -180,62 +180,42 @@ def _propose_batch(
     values,
     new_scores,
     model,
-    conjugate: bool,
     rng: np.random.Generator,
 ):
     """Sequentially assign each observation to an alive box or a new one,
     adding it to `urn` (the post-deletion state) as it goes; the urn ends
     one time step on.
 
-    Returns (assignments, newborn stats, survivor log-likelihoods,
-    log Pr(c|m) - log q(c)).  Scores for the conjugate proposal are (box
-    mass) x likelihood at the box's current parameter for boxes that
-    already have one, and the collapsed predictive of the box's
-    within-batch observations for boxes opened this batch; `new_scores`
-    holds each observation's new-box score (log theta, plus the prior
-    predictive under the conjugate proposal).  The survivor log-likelihood
-    of an observation is the likelihood the conjugate proposal scored its
-    box with when that box already had a parameter, else None.
+    A box scores log(mass) plus the likelihood at its parameter in
+    `locations`, or plus the collapsed predictive of its within-batch
+    observations when it was opened this batch; `new_scores` holds each
+    observation's new-box score (log theta plus the prior predictive).
+    Returns (newborn stats, log weight increment), the increment summing
+    the proposal's log-normaliser less log(M + theta) over the batch.
     """
     newborn: dict[int, list] = {}
-    assignments: list[int] = []
-    survivor_ll: list[float | None] = []
-    log_prior_minus_q = 0.0
-    log_theta = math.log(urn.theta)
+    log_inc = 0.0
     for z, new_score in zip(values, new_scores):
         labels = list(urn.boxes)
         log_scores = []
-        lls = []
         for lab, m in urn.boxes.items():
-            lm = math.log(m)
-            ll = None
-            if conjugate:
-                if lab in newborn:
-                    lm += model.predictive_logp(newborn[lab], z)
-                else:
-                    ll = model.log_likelihood(z, locations[lab])
-                    lm += ll
-            log_scores.append(lm)
-            lls.append(ll)
+            if lab in newborn:
+                log_scores.append(math.log(m) + model.predictive_logp(newborn[lab], z))
+            else:
+                log_scores.append(math.log(m) + model.log_likelihood(z, locations[lab]))
         log_scores.append(new_score)
-        pick, q = sample_log_categorical(log_scores, rng)
-        log_norm = math.log(urn.total_mass + urn.theta)
+        pick, log_norm = sample_log_categorical(log_scores, rng)
+        log_inc += log_norm - math.log(urn.total_mass + urn.theta)
         if pick == len(labels):
             lab = urn.next_label
             newborn[lab] = stats_of(model, [z])
-            log_prior = log_theta - log_norm
-            survivor_ll.append(None)
         else:
             lab = labels[pick]
-            log_prior = math.log(urn.boxes[lab]) - log_norm
             if lab in newborn:
                 model.stats_add(newborn[lab], z)
-            survivor_ll.append(lls[pick])
         urn.add_unit(lab)
-        assignments.append(lab)
-        log_prior_minus_q += log_prior - math.log(q)
     urn.time += 1
-    return assignments, newborn, survivor_ll, log_prior_minus_q
+    return newborn, log_inc
 
 
 def advance(
@@ -247,63 +227,36 @@ def advance(
 ) -> dict:
     """One filtering step over the whole population; returns step diagnostics
     {"t", "ess", "resampled"}.  Raises DegeneracyError if every particle's
-    weight vanishes."""
-    conjugate = config.proposal == "conjugate"
+    weight vanishes.
+
+    Per particle: the rho walk and the deletion; under a moving kernel, one
+    transition of every surviving box's parameter; the allocation proposal,
+    whose log-normaliser gives the weight increment; then a conjugate
+    posterior draw of each newborn box's parameter.  A static kernel makes
+    no transition calls."""
     static = isinstance(kernel, StaticKernel)
     if not static and not isinstance(model, KnownVarGaussianModel):
         raise ValueError("non-static kernels are supported for the known-variance model only")
     # the new-box score depends on the observation only
     log_theta = math.log(config.theta)
-    if conjugate:
-        empty = model.empty_stats()
-        new_scores = [log_theta + model.predictive_logp(empty, z) for z in batch.values]
-    else:
-        new_scores = [log_theta] * batch.n
+    empty = model.empty_stats()
+    new_scores = [log_theta + model.predictive_logp(empty, z) for z in batch.values]
     n_new = np.empty(population.n)
     for i, particle in enumerate(population.particles):
         rng = population.rngs[i]
         if config.rho_walk is not None:
             particle.rho = config.rho_walk.sample(particle.rho, rng)
         urn = apply_policy(particle.urn, config.policy, rng, particle.rho)
-        survivors = set(urn.boxes)
-        locations = {lab: particle.locations[lab] for lab in survivors}
-        assignments, newborn, survivor_ll, log_inc = _propose_batch(
-            urn, locations, batch.values, new_scores, model, conjugate, rng
-        )
-        # locations: newborn boxes from the conjugate posterior (or the base
-        # under the prior proposal); static survivors keep their value with
-        # unit ratio, AR1 survivors move by the kernel (used boxes through
-        # the exact one-step conditional with its ratio).
-        used = set(assignments)
+        prev = particle.locations
+        if static:
+            locations = {lab: prev[lab] for lab in urn.boxes}
+        else:
+            locations = {lab: kernel.transition(prev[lab], rng) for lab in urn.boxes}
+        newborn, n_new[i] = _propose_batch(urn, locations, batch.values, new_scores, model, rng)
         for lab, stats in newborn.items():
-            if conjugate:
-                u = model.posterior_sample_from_stats(stats, rng)
-                log_inc += model.base_log_density(u) - model.posterior_log_density(stats, u)
-            else:
-                u = model.posterior_sample_from_stats(model.empty_stats(), rng)
-            locations[lab] = u
-        if not static:
-            for lab in survivors:
-                prev = locations[lab]
-                if lab in used and conjugate:
-                    u, log_ratio = _ar1_posterior_step(
-                        kernel, model, prev,
-                        [z for z, a in zip(batch.values, assignments) if a == lab],
-                        rng,
-                    )
-                    log_inc += log_ratio
-                else:
-                    u = kernel.transition(prev, rng)
-                locations[lab] = u
-        # data likelihood at the final locations; a static survivor's was
-        # already computed by the proposal
-        for z, lab, ll in zip(batch.values, assignments, survivor_ll):
-            if ll is None or not static:
-                ll = model.log_likelihood(z, locations[lab])
-            log_inc += ll
+            locations[lab] = model.posterior_sample_from_stats(stats, rng)
         particle.urn = urn
         particle.locations = locations
-        n_new[i] = log_inc
     population.log_weights = population.log_weights + n_new
     norm = log_sum_exp_array(population.log_weights)
     if not np.isfinite(norm):
@@ -314,23 +267,6 @@ def advance(
     if resampled:
         resample(population)
     return {"t": batch.time, "ess": n_eff, "resampled": resampled}
-
-
-def _ar1_posterior_step(kernel: GaussianAR1, model, u_prev, obs, rng):
-    """Exact conditional for an AR1-surviving, used box under the known
-    variance model, with its importance ratio log p/q."""
-    mu0 = kernel.base.mu0
-    prior_mean = mu0 + kernel.phi * (u_prev - mu0)
-    prior_var = kernel.noise_scale ** 2
-    obs_var = model.obs_sigma ** 2
-    prec = 1.0 / prior_var + len(obs) / obs_var
-    post_var = 1.0 / prec
-    post_mean = (prior_mean / prior_var + sum(obs) / obs_var) * post_var
-    u = rng.normal(post_mean, math.sqrt(post_var))
-    log_ratio = float(
-        normal_logpdf(u, prior_mean, prior_var) - normal_logpdf(u, post_mean, post_var)
-    )
-    return float(u), log_ratio
 
 
 @dataclass
@@ -401,8 +337,6 @@ def run_filter(
     record carries the density estimate when the config has a grid (every
     record holds the same grid list).  Setups the filter cannot run are
     rejected before the first step."""
-    if isinstance(model, TopicModel) and config.proposal == "conjugate":
-        raise ValueError("the topic model has no conjugate proposal: use proposal='prior'")
     if config.grid is not None:
         _density_component(model)
     population = init_particles(config, rng)

@@ -16,6 +16,7 @@ import numpy as np
 from scipy import integrate
 from scipy.stats import norm
 
+from tvdpm.partitions import CountsVector
 from tvdpm.urn import (
     ComposePolicy,
     DeletionPolicy,
@@ -26,6 +27,61 @@ from tvdpm.urn import (
     policy_uses_walk,
     policy_window,
 )
+
+
+def validate_allocation(labels) -> None:
+    """Check order-of-appearance labelling: c_1 = 1, each new label = max + 1."""
+    seen_max = 0
+    for c in labels:
+        if c == seen_max + 1:
+            seen_max += 1
+        elif not (1 <= c <= seen_max):
+            raise ValueError(f"label {c} breaks order-of-appearance labelling")
+
+
+def counts_from_box_sizes(sizes) -> CountsVector:
+    """The partition with the given box sizes."""
+    sizes = list(sizes)
+    if not sizes or any(s < 1 for s in sizes):
+        raise ValueError("box sizes must be positive and non-empty")
+    counts = [0] * sum(sizes)
+    for s in sizes:
+        counts[s - 1] += 1
+    return CountsVector(tuple(counts))
+
+
+def num_boxes(partition: CountsVector) -> int:
+    return sum(partition.counts)
+
+
+def counts_of(labels) -> CountsVector:
+    """Partition induced by an allocation vector (any hashable labels)."""
+    if not labels:
+        raise ValueError("empty allocation")
+    return counts_from_box_sizes(Counter(labels).values())
+
+
+def polya_urn_sample(n: int, theta: float, rng: np.random.Generator) -> list[int]:
+    """One draw of n seatings from the standard Polya urn (CRP).
+
+    Returns an allocation vector with labels in order of appearance: the
+    k-th ball joins box i with probability m_i / (k - 1 + theta) and opens
+    a new box with probability theta / (k - 1 + theta).
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if theta <= 0:
+        raise ValueError("theta must be positive")
+    labels = [1]
+    weights = [1, theta]  # box sizes, then the new-box weight
+    for _ in range(2, n + 1):
+        chosen = inline_categorical(weights, rng) + 1
+        if chosen == len(weights):
+            weights.insert(-1, 1)
+        else:
+            weights[chosen - 1] += 1
+        labels.append(chosen)
+    return labels
 
 
 def crp_partition_law(n: int, theta: float) -> dict[tuple[int, ...], float]:
@@ -355,9 +411,9 @@ def tv(p: dict, q: dict) -> float:
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
-# -- the particle filter's step, density and thinning before they dropped
-# their repeated work, kept verbatim as the references the fast paths are
-# pinned against.
+# -- the particle filter's step in its importance-ratio form, and its density
+# and thinning before they dropped their repeated work: the references the
+# fast paths are pinned against.
 
 
 def reference_delete_uniform(state, rho, rng):
@@ -376,8 +432,91 @@ def reference_delete_uniform(state, rho, rng):
     return out
 
 
-def reference_propose_batch(urn, locations, values, model, conjugate, rng):
-    """Sequential allocation proposal scoring the new box per particle."""
+# Log densities of a box parameter under the conjugate posterior of its
+# observations' statistics (under the base measure when the statistics are
+# empty), written out from the textbook forms.  Bayes' rule ties them to the
+# model's closed-form marginal:
+#   sum_i log p(z_i | u) + log base(u) - log posterior(u | z) = log p(z).
+
+
+def _invgamma_logpdf(x, shape, rate):
+    return shape * math.log(rate) - math.lgamma(shape) - (shape + 1.0) * math.log(x) - rate / x
+
+
+def _normal_logpdf(x, mean, var):
+    return -0.5 * math.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var)
+
+
+def nig_log_density(u, stats, base) -> float:
+    """NormalInverseGamma posterior of u = (mean, variance) given
+    [count, sum, sum of squares]: variance ~ InvGamma(nu/2, lambda/2),
+    mean | variance ~ Normal(mu, variance / kappa)."""
+    mean, var = u
+    n, s, ss = stats
+    kappa = base.kappa0 + n
+    mu = (base.kappa0 * base.mu0 + s) / kappa
+    nu = base.nu0 + n
+    lam = base.lambda0
+    if n:
+        zbar = s / n
+        lam += ss - n * zbar * zbar + base.kappa0 * n * (zbar - base.mu0) ** 2 / kappa
+    return _invgamma_logpdf(var, nu / 2.0, lam / 2.0) + _normal_logpdf(mean, mu, var / kappa)
+
+
+def known_var_log_density(u, stats, base, obs_sigma) -> float:
+    """Normal posterior of a mean with a Normal(mu0, sigma0^2) prior given
+    [count, sum, ...] of observations with known standard deviation."""
+    n, s = stats[0], stats[1]
+    prec = 1.0 / base.sigma0 ** 2 + n / obs_sigma ** 2
+    mean = (base.mu0 / base.sigma0 ** 2 + s / obs_sigma ** 2) / prec
+    return _normal_logpdf(u, mean, 1.0 / prec)
+
+
+def atomic_log_density(u, stats, base) -> float:
+    """Posterior mass of atom u given the observations' log-likelihood at
+    every atom; -inf off the atoms."""
+    logp = [math.log(w) + ll for w, ll in zip(base.weights, stats)]
+    top = max(logp)
+    log_total = top + math.log(sum(math.exp(x - top) for x in logp))
+    for a, lp in zip(base.atoms, logp):
+        if math.isclose(a, u):
+            return lp - log_total
+    return float("-inf")
+
+
+def dirichlet_log_density(y, stats, base) -> float:
+    """Dirichlet posterior of a topic vector y given [word counts, total]
+    under the symmetric Dirichlet(theta_v / K) base."""
+    alpha = [c + base.theta_v / base.vocab_size for c in stats[0].tolist()]
+    return (
+        math.lgamma(sum(alpha))
+        - sum(math.lgamma(a) for a in alpha)
+        + sum((a - 1.0) * math.log(p) for a, p in zip(alpha, y.tolist()))
+    )
+
+
+def parameter_log_density(model, stats, u) -> float:
+    """Log density of box parameter u under `model`'s conjugate posterior
+    given `stats`; `model.empty_stats()` gives the base density."""
+    from tvdpm.models import GaussianModel, KnownVarGaussianModel, TopicModel
+
+    if isinstance(model, GaussianModel):
+        return nig_log_density(u, stats, model.base)
+    if isinstance(model, KnownVarGaussianModel):
+        if model._atomic:
+            return atomic_log_density(u, stats, model.base)
+        return known_var_log_density(u, stats, model.base, model.obs_sigma)
+    if isinstance(model, TopicModel):
+        return dirichlet_log_density(u, stats, model.base)
+    raise TypeError(f"no parameter density for {model!r}")
+
+
+def reference_propose_batch(urn, locations, values, model, rng):
+    """Sequential allocation proposal scoring the new box per particle, with
+    its importance ratio log Pr(c | m) - log q(c); q is computed here from
+    the scores."""
+    from scipy.special import logsumexp
+
     from tvdpm.models import stats_of
     from tvdpm.partitions import sample_log_categorical
 
@@ -389,17 +528,14 @@ def reference_propose_batch(urn, locations, values, model, conjugate, rng):
         log_scores = []
         for lab in labels:
             lm = math.log(urn.boxes[lab])
-            if conjugate:
-                if lab in newborn:
-                    lm += model.predictive_logp(newborn[lab], z)
-                else:
-                    lm += model.log_likelihood(z, locations[lab])
+            if lab in newborn:
+                lm += model.predictive_logp(newborn[lab], z)
+            else:
+                lm += model.log_likelihood(z, locations[lab])
             log_scores.append(lm)
-        new_score = math.log(urn.theta)
-        if conjugate:
-            new_score += model.predictive_logp(model.empty_stats(), z)
-        log_scores.append(new_score)
-        pick, q = sample_log_categorical(log_scores, rng)
+        log_scores.append(math.log(urn.theta) + model.predictive_logp(model.empty_stats(), z))
+        pick = sample_log_categorical(log_scores, rng)[0]
+        log_q = log_scores[pick] - float(logsumexp(log_scores))
         log_norm = math.log(urn.total_mass + urn.theta)
         if pick == len(labels):
             lab = urn.next_label
@@ -412,57 +548,40 @@ def reference_propose_batch(urn, locations, values, model, conjugate, rng):
                 model.stats_add(newborn[lab], z)
         urn.add_unit(lab)
         assignments.append(lab)
-        log_prior_minus_q += log_prior - math.log(q)
+        log_prior_minus_q += log_prior - log_q
     urn.time += 1
     return assignments, newborn, log_prior_minus_q
 
 
 def reference_advance(population, batch, model, kernel, config) -> dict:
-    """One filtering step that recomputes every likelihood in the weight
-    loop."""
+    """One filtering step in the importance-ratio form: the allocation
+    ratio, a newborn box's base over posterior density at its draw, and
+    every likelihood recomputed at the final locations."""
     from scipy.special import logsumexp
 
     from tvdpm.kernels import StaticKernel
-    from tvdpm.models import KnownVarGaussianModel
-    from tvdpm.smc import DegeneracyError, _ar1_posterior_step, ess, resample
+    from tvdpm.smc import DegeneracyError, ess, resample
     from tvdpm.urn import apply_policy
 
-    conjugate = config.proposal == "conjugate"
     static = isinstance(kernel, StaticKernel)
-    if not static and not isinstance(model, KnownVarGaussianModel):
-        raise ValueError("non-static kernels are supported for the known-variance model only")
     n_new = np.empty(population.n)
     for i, particle in enumerate(population.particles):
         rng = population.rngs[i]
         if config.rho_walk is not None:
             particle.rho = config.rho_walk.sample(particle.rho, rng)
         urn = apply_policy(particle.urn, config.policy, rng, particle.rho)
-        survivors = set(urn.boxes)
-        locations = {lab: particle.locations[lab] for lab in survivors}
-        assignments, newborn, log_inc = reference_propose_batch(
-            urn, locations, batch.values, model, conjugate, rng
-        )
-        used = set(assignments)
-        for lab, stats in newborn.items():
-            if conjugate:
-                u = model.posterior_sample_from_stats(stats, rng)
-                log_inc += model.base_log_density(u) - model.posterior_log_density(stats, u)
-            else:
-                u = model.posterior_sample_from_stats(model.empty_stats(), rng)
-            locations[lab] = u
+        locations = {lab: particle.locations[lab] for lab in urn.boxes}
         if not static:
-            for lab in survivors:
-                prev = locations[lab]
-                if lab in used and conjugate:
-                    u, log_ratio = _ar1_posterior_step(
-                        kernel, model, prev,
-                        [z for z, a in zip(batch.values, assignments) if a == lab],
-                        rng,
-                    )
-                    log_inc += log_ratio
-                else:
-                    u = kernel.transition(prev, rng)
-                locations[lab] = u
+            for lab in urn.boxes:
+                locations[lab] = kernel.transition(locations[lab], rng)
+        assignments, newborn, log_inc = reference_propose_batch(
+            urn, locations, batch.values, model, rng
+        )
+        for lab, stats in newborn.items():
+            u = model.posterior_sample_from_stats(stats, rng)
+            log_inc += parameter_log_density(model, model.empty_stats(), u)
+            log_inc -= parameter_log_density(model, stats, u)
+            locations[lab] = u
         for z, lab in zip(batch.values, assignments):
             log_inc += model.log_likelihood(z, locations[lab])
         particle.urn = urn
@@ -811,3 +930,30 @@ class ReferenceUrnEnsemble:
             raise ValueError("ensemble built without track_locations")
         total = self._agg.sum(axis=1)
         return (self._agg * self._loc).sum(axis=1) / (total + self.theta)
+
+
+# -- exact filters for a single forced cluster, the oracles of the particle
+# filter's moving-kernel and topic paths.
+
+
+def kalman_ar1_filter(obs, phi, mu0, sigma0, obs_sigma) -> tuple[float, float]:
+    """Mean and variance of the location after the last observation, for a
+    location that starts from Normal(mu0, sigma0^2), moves by the stationary
+    AR(1) with coefficient phi between observations, and is observed with
+    Normal(0, obs_sigma^2) noise."""
+    m, v = mu0, sigma0 ** 2
+    for i, z in enumerate(obs):
+        if i:
+            m = mu0 + phi * (m - mu0)
+            v = phi * phi * v + (1.0 - phi * phi) * sigma0 ** 2
+        gain = v / (v + obs_sigma ** 2)
+        m += gain * (z - m)
+        v *= 1.0 - gain
+    return m, v
+
+
+def dirichlet_multinomial_predictive(words, theta_v, vocab_size) -> np.ndarray:
+    """P(next word | words) for one topic with a symmetric
+    Dirichlet(theta_v / K) prior."""
+    counts = np.bincount(np.asarray(words, dtype=int), minlength=vocab_size)
+    return (counts + theta_v / vocab_size) / (len(words) + theta_v)

@@ -32,7 +32,7 @@ from tvdpm.kernels import (
 )
 from tvdpm.mcmc import MCMCState, sweep
 from tvdpm.models import GaussianModel, KnownVarGaussianModel, ObservationBatch, TopicModel, stats_of
-from tvdpm.partitions import counts_of, enumerate_partitions, esf_log_prob, polya_urn_sample
+from tvdpm.partitions import enumerate_partitions, esf_log_prob
 from tvdpm.smc import FilterConfig, RhoWalk, estimate_density, run_filter
 from tvdpm.urn import (
     ComposePolicy,
@@ -44,7 +44,7 @@ from tvdpm.urn import (
     step,
 )
 
-from .oracles import canonical_state_key, enumerate_toy_posterior, tv
+from .oracles import canonical_state_key, counts_of, enumerate_toy_posterior, polya_urn_sample, tv
 
 
 def report(name: str, passed: bool, detail: str):
@@ -184,9 +184,7 @@ def test_criterion_05_smc_exact_baseline():
     data = np.random.default_rng(1055).normal(0.5, 0.8, size=50)
     batches = [ObservationBatch(t, (float(z),)) for t, z in enumerate(data, 1)]
     grid = np.linspace(-10.0, 10.0, 200)
-    cfg = FilterConfig(
-        n_particles=500, theta=0.01, policy=UniformDeletion(1.0), proposal="conjugate"
-    )
+    cfg = FilterConfig(n_particles=500, theta=0.01, policy=UniformDeletion(1.0))
     pop = None
     for _rec, pop in run_filter(batches, model, StaticKernel(), cfg, rng):
         pass
@@ -218,7 +216,6 @@ def _scaled_experiment(filter_seed, data_seed, density):
         n_particles=500,
         theta=3.0,
         policy=MixturePolicy(0.98, UniformDeletion(None), SizeBiasedDeletion()),
-        proposal="conjugate",
         rho_walk=RhoWalk(a_rho=1000.0, rho0=0.9),
         grid=grid if density else None,
     )

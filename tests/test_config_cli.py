@@ -24,7 +24,6 @@ GOOD_CONFIG = {
     "inference": {
         "method": "smc",
         "n_particles": 30,
-        "proposal": "conjugate",
         "rho_walk": {"a_rho": 1000.0, "rho0": 0.9},
         "grid": {"lo": -8.0, "hi": 8.0, "points": 50},
     },
@@ -170,28 +169,36 @@ class TestCli:
         assert code == 2
         assert "smc only" in err
 
-    @pytest.mark.parametrize("proposal,code", [(None, 2), ("conjugate", 2), ("prior", 0)])
-    def test_smc_topic_needs_prior_proposal(self, tmp_path, proposal, code):
+    def _smc_topic_config(self, tmp_path):
         args = write_corpus(tmp_path, [{"t": 1, "words": [0, 3]}, {"t": 2, "words": [1, 1]}])
         cfg_path = tmp_path / "m.json"
         cfg = json.loads(cfg_path.read_text())
         cfg["inference"] = {"method": "smc", "n_particles": 5}
-        if proposal:
-            cfg["inference"]["proposal"] = proposal
         cfg_path.write_text(json.dumps(cfg))
-        got, _, err = run_cli(["smc"] + args[1:])
-        assert got == code
-        if code:
-            assert err.startswith("error: ") and '"proposal": "prior"' in err
-        else:
-            assert len((tmp_path / "o.jsonl").read_text().splitlines()) == 2
-            # a density grid needs a Gaussian model: rejected before any step
-            (tmp_path / "o.jsonl").unlink()
-            cfg["inference"]["grid"] = {"lo": 0.0, "hi": 1.0, "points": 5}
-            cfg_path.write_text(json.dumps(cfg))
-            got, _, err = run_cli(["smc"] + args[1:])
-            assert got == 2 and err.startswith("error: ") and "inference.grid" in err
-            assert not (tmp_path / "o.jsonl").exists()
+        return ["smc"] + args[1:], cfg_path, cfg
+
+    def test_smc_topic_runs_default_proposal(self, tmp_path):
+        args, cfg_path, cfg = self._smc_topic_config(tmp_path)
+        assert run_cli(args)[0] == 0
+        assert len((tmp_path / "o.jsonl").read_text().splitlines()) == 2
+        # a density grid needs a Gaussian model: rejected before any step
+        (tmp_path / "o.jsonl").unlink()
+        cfg["inference"]["grid"] = {"lo": 0.0, "hi": 1.0, "points": 5}
+        cfg_path.write_text(json.dumps(cfg))
+        got, _, err = run_cli(args)
+        assert got == 2 and err.startswith("error: ") and "inference.grid" in err
+        assert not (tmp_path / "o.jsonl").exists()
+
+    @pytest.mark.parametrize("proposal", ["conjugate", "prior"])
+    def test_smc_rejects_proposal_key(self, tmp_path, proposal):
+        # the filter has one proposal: the key is gone from the schema
+        args, cfg_path, cfg = self._smc_topic_config(tmp_path)
+        cfg["inference"]["proposal"] = proposal
+        cfg_path.write_text(json.dumps(cfg))
+        got, _, err = run_cli(args)
+        assert got == 2
+        assert err.startswith("error: config rejected: ") and "'proposal' was unexpected" in err
+        assert not (tmp_path / "o.jsonl").exists()
 
     @pytest.mark.parametrize(
         "inference,named",

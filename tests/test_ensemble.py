@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from tvdpm.ensemble import UrnEnsemble, batch_partition_distribution
-from tvdpm.partitions import counts_of
 from tvdpm.urn import (
     ComposePolicy,
     MixturePolicy,
@@ -20,7 +19,7 @@ from tvdpm.urn import (
     step,
 )
 
-from .oracles import ReferenceUrnEnsemble, tv
+from .oracles import ReferenceUrnEnsemble, counts_of, tv
 
 POLICIES = {
     "uniform": UniformDeletion(0.7),

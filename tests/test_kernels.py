@@ -52,6 +52,19 @@ class TestBaseMeasures:
         frac = sum(d == 2.0 for d in draws) / len(draws)
         assert abs(frac - 0.8) < 3 * math.sqrt(0.16 / 20_000)
 
+    def test_atomic_draws_equal_numpy_choice(self):
+        # the shared categorical draw picks what rng.choice(p=...) picked,
+        # from the same single uniform
+        gen = np.random.default_rng(0)
+        a, b = np.random.default_rng(1), np.random.default_rng(1)
+        for _ in range(20):
+            k = int(gen.integers(1, 12))
+            base = FiniteAtomic(tuple(gen.normal(size=k)), tuple(gen.exponential(size=k) + 1e-3))
+            for _ in range(500):
+                want = float(base.atoms[b.choice(k, p=base.weights)])
+                assert sample_base(base, a) == want
+        assert a.bit_generator.state == b.bit_generator.state
+
 
 class TestTransitions:
     def test_static_identity(self, rng):

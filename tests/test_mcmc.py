@@ -24,10 +24,10 @@ from tvdpm.mcmc import (
     relabel,
     sweep,
 )
-from tvdpm.partitions import counts_of, enumerate_partitions, esf_log_prob
+from tvdpm.partitions import enumerate_partitions, esf_log_prob
 
 from . import oracles
-from .oracles import canonical_state_key, enumerate_toy_posterior, forward_alive_counts, tv
+from .oracles import canonical_state_key, counts_of, enumerate_toy_posterior, forward_alive_counts, tv
 
 
 class TestReconstructCounts:

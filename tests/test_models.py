@@ -13,7 +13,6 @@ from tvdpm.models import (
     ObservationBatch,
     DataError,
     TopicModel,
-    _invgamma_logpdf,
     log_sum_exp_array,
     read_corpus,
     read_observation_batches,
@@ -21,7 +20,12 @@ from tvdpm.models import (
     student_t_logpdf,
 )
 
-from .oracles import dirichlet_predictive_k2, nig_posterior_mean_of_mean, nig_prior_predictive
+from .oracles import (
+    dirichlet_predictive_k2,
+    nig_posterior_mean_of_mean,
+    nig_prior_predictive,
+    parameter_log_density,
+)
 
 NIG = NormalInverseGamma(0.0, 0.1, 2.0, 1.0)
 
@@ -96,14 +100,6 @@ class TestWithoutScipy:
         assert got.shape == x.shape
         # the two log-gammas cancel, so the tolerance is relative to them
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * (gammaln((df + 1.0) / 2.0) + 1.0))
-
-    @pytest.mark.parametrize("shape", [0.3, 1.0, 2.5, 40.0, 1e3])
-    def test_invgamma_logpdf_matches_gammaln(self, shape):
-        for x in (1e-3, 0.2, 1.0, 3.7, 250.0):
-            for rate in (0.1, 1.0, 9.0):
-                want = shape * math.log(rate) - gammaln(shape) - (shape + 1.0) * math.log(x) - rate / x
-                scale = abs(gammaln(shape)) + 1.0
-                assert _invgamma_logpdf(x, shape, rate) == pytest.approx(want, rel=1e-13, abs=1e-13 * scale)
 
     def test_log_sum_exp_equals_scipy_bit_for_bit(self, rng):
         cases = [np.array([2.5]), np.array([-np.inf, -1.0, -np.inf]), np.array([3.0, 3.0, 3.0])]
@@ -310,6 +306,31 @@ class TestLogMarginal:
             assert model.log_marginal(stats) == pytest.approx(exact, rel=1e-10)
             # negative control: one observation more is seen
             assert model.log_marginal(stats) != pytest.approx(_replay(model, kept + dropped[:1]), rel=1e-6)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_bayes_identity_at_posterior_draws(self, name, rng):
+        # likelihood x base / posterior at any parameter is the marginal: the
+        # identity that lets the filter weigh a newborn box by its closed-form
+        # marginal instead of its base-over-posterior ratio
+        model, draw = self.MODELS[name]
+        observations = draw(rng, 12)
+        stats = model.empty_stats()
+        for i, z in enumerate(observations, 1):
+            model.stats_add(stats, z)
+            seen = observations[:i]
+            for _ in range(3):
+                u = model.posterior_sample_from_stats(stats, rng)
+
+                def identity(obs):
+                    return (
+                        sum(model.log_likelihood(x, u) for x in obs)
+                        + parameter_log_density(model, model.empty_stats(), u)
+                        - parameter_log_density(model, stats, u)
+                    )
+
+                assert identity(seen) == pytest.approx(model.log_marginal(stats), rel=1e-10, abs=1e-10)
+                # negative control: one observation left out of the likelihood
+                assert identity(seen[:-1]) != pytest.approx(model.log_marginal(stats), rel=1e-6)
 
     def test_topic_predictive_same_float_as_numpy_scalars(self):
         model = TopicModel(SymmetricDirichlet(2.0, 7))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvdpm.partitions import counts_of, enumerate_partitions, esf_log_prob, polya_urn_sample
+from tvdpm.partitions import enumerate_partitions, esf_log_prob
 from tvdpm.urn import (
     ComposePolicy,
     MixturePolicy,
@@ -23,7 +23,13 @@ from tvdpm.urn import (
     step,
 )
 
-from .oracles import binomial_then_uniform_removal, reference_delete_uniform, tv
+from .oracles import (
+    binomial_then_uniform_removal,
+    counts_of,
+    polya_urn_sample,
+    reference_delete_uniform,
+    tv,
+)
 
 
 def state_with(boxes, theta=1.0, retain_ages=False, time=0):
