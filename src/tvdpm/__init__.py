@@ -31,7 +31,6 @@ from .kernels import (
 from .models import DataError, GaussianModel, KnownVarGaussianModel, ObservationBatch, TopicModel, stats_of
 from .smc import (
     DegeneracyError,
-    DensityEstimate,
     FilterConfig,
     Particle,
     RhoWalk,

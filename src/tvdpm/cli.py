@@ -102,9 +102,10 @@ def cmd_gen_data(args) -> int:
         with open(args.stream_config) as fh:
             cfg = json.load(fh)
         cfg = datagen.density_stream_config(config=cfg)
+    records = datagen.gen_density_data(cfg, rng)
     out = _open_out(args.out)
     try:
-        for rec in datagen.gen_density_data(cfg, rng):
+        for rec in records:
             out.write(json.dumps(rec) + "\n")
     finally:
         if out is not sys.stdout:

@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .models import normal_logpdf
+from .models import DataError, normal_logpdf
 
 __all__ = [
     "DENSITY_PRESETS",
@@ -119,7 +119,7 @@ def _components_at(cfg: dict, t: int) -> list[dict]:
                     drift["mu_from"] + frac * (drift["mu_to"] - drift["mu_from"])
                 )
             return comps
-    raise ValueError(f"time {t} not covered by any segment")
+    raise DataError(f"time {t} not covered by any segment")
 
 
 def mixture_density(grid: np.ndarray, components: list[dict]) -> np.ndarray:
@@ -130,22 +130,24 @@ def mixture_density(grid: np.ndarray, components: list[dict]) -> np.ndarray:
     return out
 
 
-def gen_density_data(cfg: dict, rng: np.random.Generator):
-    """Yield one record per time step: {"t", "values", "truth"} where truth
-    lists the active mixture components."""
-    total_w = [sum(c["w"] for c in _components_at(cfg, t)) for t in (1, cfg["T"])]
-    for w in total_w:
-        if abs(w - 1.0) > 1e-9:
-            raise ValueError("component weights must sum to 1 in every regime")
+def gen_density_data(cfg: dict, rng: np.random.Generator) -> list[dict]:
+    """One record per time step: {"t", "values", "truth"} where truth lists
+    the active mixture components.  A step no segment covers, or whose
+    weights are negative or do not sum to 1, raises DataError before any
+    record is returned."""
     n = cfg.get("n_per_step", 1)
+    records = []
     for t in range(1, cfg["T"] + 1):
         comps = _components_at(cfg, t)
         weights = [c["w"] for c in comps]
+        if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
+            raise DataError(f"component weights at t={t} must be non-negative and sum to 1: {weights}")
         values = []
         for _ in range(n):
             i = rng.choice(len(comps), p=weights)
             values.append(float(rng.normal(comps[i]["mu"], comps[i]["sigma"])))
-        yield {"t": t, "values": values, "truth": comps}
+        records.append({"t": t, "values": values, "truth": comps})
+    return records
 
 
 TOPIC_PRESET = {

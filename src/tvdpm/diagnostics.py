@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import UrnEnsemble, batch_partition_distribution
-from .kernels import GaussianAR1, GaussianKnownVar, sample_base
+from .kernels import GaussianAR1, GaussianKnownVar, StaticKernel
 from .partitions import enumerate_partitions, esf_log_prob
 from .urn import DeletionPolicy, UniformDeletion, UrnState, allocate_batch, delete_uniform
 
@@ -193,20 +193,16 @@ def mean_correlation_curve(
     kernel_phi: float | None = None,
 ) -> CorrelationCurve:
     """Estimate corr(mean of G_t, mean of G_{t+tau}) over n_mc replicas of a
-    uniform-deletion urn with standard-normal base; locations move by an
-    AR(1) kernel when kernel_phi is given, otherwise stay fixed for life."""
+    uniform-deletion urn with standard-normal base; locations move by the
+    stationary AR(1) kernel with coefficient kernel_phi when it is given,
+    otherwise stay fixed for life."""
     taus = sorted(int(t) for t in taus)
     if taus and taus[0] < 0:
         raise ValueError("taus must be non-negative")
     if n_mc < 2:
         raise ValueError("n_mc must be at least 2: a correlation needs two replicas")
-    ens = UrnEnsemble(
-        n_mc,
-        theta,
-        UniformDeletion(rho),
-        track_locations=True,
-        kernel_phi=kernel_phi,
-    )
+    kernel = StaticKernel() if kernel_phi is None else GaussianAR1(kernel_phi, GaussianKnownVar(0.0, 1.0))
+    ens = UrnEnsemble(n_mc, theta, UniformDeletion(rho), kernel=kernel)
     for _ in range(burn_in):
         ens.step(n, rng)
     ref = ens.predictive_mean().copy()
@@ -249,9 +245,11 @@ class BrokenNoiseKernel:
     noise_factor: float = 2.0
 
     def transition(self, u_prev, rng: np.random.Generator):
+        size = u_prev.shape if isinstance(u_prev, np.ndarray) else None
         mu0 = self.base.mu0
         scale = math.sqrt(1.0 - self.phi * self.phi) * self.base.sigma0 * self.noise_factor
-        return float(self.phi * (u_prev - mu0) + mu0 + scale * rng.standard_normal())
+        u = self.phi * (u_prev - mu0) + mu0 + scale * rng.standard_normal(size)
+        return u if size is not None else float(u)
 
 
 def kernel_stationarity_test(
@@ -261,19 +259,17 @@ def kernel_stationarity_test(
     n_chains: int,
     rng: np.random.Generator,
 ) -> KSReport:
-    """Initialize n_chains at the base, run the kernel chain_length steps,
-    and KS-test the terminal values against the base CDF."""
+    """Initialize n_chains at the base, run the kernel chain_length steps
+    (all chains as one array), and KS-test the terminal values against the
+    base CDF."""
     # imported here: scipy.stats is most of the package's import time
     from scipy import stats as sps
 
     if not isinstance(base, GaussianKnownVar):
         raise ValueError("stationarity KS test supports scalar Gaussian bases")
-    values = np.empty(n_chains)
-    for i in range(n_chains):
-        u = sample_base(base, rng)
-        for _ in range(chain_length):
-            u = kernel.transition(u, rng)
-        values[i] = u
+    values = rng.normal(base.mu0, base.sigma0, n_chains)
+    for _ in range(chain_length):
+        values = kernel.transition(values, rng)
     result = sps.kstest(values, sps.norm(loc=base.mu0, scale=base.sigma0).cdf)
     return KSReport(
         statistic=float(result.statistic),

@@ -12,7 +12,10 @@ rows be compacted independently.  When unit ages matter (sliding windows,
 possibly mixed with random deletion), counts are resolved into per-age
 slots: index a < depth holds units born a batches ago, and the final
 overflow slot pools everything older (any in-range window kill removes the
-whole overflow, so pooling loses nothing).
+whole overflow, so pooling loses nothing).  Box locations, when the
+ensemble has a kernel, sit in an (R, B) array of the same layout; a
+kernel's `transition` steps a float or an array, so one call moves them
+all (free columns too).
 
 Stream invariant: a step reads the generator exactly as a plain
 whole-array step does (that version is kept as the test reference), so a
@@ -57,20 +60,19 @@ class UrnEnsemble:
         theta: float,
         policy: DeletionPolicy,
         *,
-        track_locations: bool = False,
-        kernel_phi: float | None = None,
+        kernel=None,
     ):
-        """Replicas with empty urns.  With track_locations each box carries
-        a location drawn from the standard-normal base, moved at every step
-        by the stationary AR(1) with coefficient kernel_phi when given."""
+        """Replicas with empty urns.  Given a kernel, each box carries a
+        location drawn from the standard-normal base, and every step moves
+        all locations with one `kernel.transition` call on the array; the
+        kernel must leave that base invariant (`StaticKernel()`, or a
+        `GaussianAR1` over `GaussianKnownVar(0, 1)`)."""
         if n_replicates < 1:
             raise ValueError("n_replicates must be >= 1")
         if theta <= 0:
             raise ValueError("theta must be positive")
         if policy_uses_walk(policy):
             raise ValueError('the rho walk ("rho": "walk") is for smc only')
-        if kernel_phi is not None and not -1.0 <= kernel_phi <= 1.0:
-            raise ValueError("kernel_phi must lie in [-1, 1]")
         self.R = n_replicates
         self.theta = float(theta)
         self.policy = policy
@@ -83,9 +85,8 @@ class UrnEnsemble:
         self._slots = [np.zeros((self.R, B), dtype=np.int64) for _ in range(self._depth)]
         self._agg = np.zeros((self.R, B), dtype=np.int64)
         self._rows = np.arange(self.R)
-        self.track_locations = track_locations
-        self.kernel_phi = kernel_phi
-        self._loc = np.zeros((self.R, B), dtype=np.float64) if track_locations else None
+        self.kernel = kernel
+        self._loc = None if kernel is None else np.zeros((self.R, B), dtype=np.float64)
 
     # -- column bookkeeping -------------------------------------------------
 
@@ -199,10 +200,8 @@ class UrnEnsemble:
             raise ValueError("n must be >= 1")
         self._apply(self.policy, np.ones(self.R, dtype=bool), rng)
         self._shift_ages()
-        if self._loc is not None and self.kernel_phi is not None:
-            phi = self.kernel_phi
-            noise = rng.normal(0.0, 1.0, size=self._loc.shape)
-            self._loc = phi * self._loc + np.sqrt(1.0 - phi * phi) * noise
+        if self._loc is not None:
+            self._loc = self.kernel.transition(self._loc, rng)
         self._ensure_capacity(n)
         agg = self._agg
         R, B = agg.shape
@@ -255,14 +254,11 @@ class UrnEnsemble:
 
     # -- observables ----------------------------------------------------------
 
-    def total_mass(self) -> np.ndarray:
-        return self._agg.sum(axis=1)
-
     def predictive_mean(self) -> np.ndarray:
         """Mean of the urn-induced predictive: boxes weighted m_k/(M+theta)
         at their locations plus theta/(M+theta) at the base mean, 0."""
         if self._loc is None:
-            raise ValueError("ensemble built without track_locations")
+            raise ValueError("ensemble built without a kernel: it has no locations")
         total = self._agg.sum(axis=1)
         return (self._agg * self._loc).sum(axis=1) / (total + self.theta)
 

@@ -5,7 +5,8 @@ draw at birth, then one kernel transition per step.  Every shipped kernel
 leaves its base measure invariant, which is what keeps the mixture model
 marginally stationary; `diagnostics.kernel_stationarity_test` checks that
 property by simulation for any kernel/base pair, so new kernels only need
-a `transition` method.
+a `transition` method.  `transition` steps a float or an array: m values
+in one array move exactly as m float calls would, draw for draw.
 """
 
 from __future__ import annotations
@@ -131,5 +132,7 @@ class GaussianAR1:
         return math.sqrt(1.0 - self.phi * self.phi) * self.base.sigma0
 
     def transition(self, u_prev, rng: np.random.Generator):
+        size = u_prev.shape if isinstance(u_prev, np.ndarray) else None
         mu0 = self.base.mu0
-        return float(self.phi * (u_prev - mu0) + mu0 + self.noise_scale * rng.standard_normal())
+        u = self.phi * (u_prev - mu0) + mu0 + self.noise_scale * rng.standard_normal(size)
+        return u if size is not None else float(u)

@@ -19,7 +19,7 @@ get zero conditional mass, so contiguity is preserved by construction;
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 
@@ -39,6 +39,23 @@ __all__ = [
 ]
 
 NEG_INF = float("-inf")
+
+
+def _check_setup(T, n, theta, rho, observations, model, mode, kernel):
+    if T < 1 or n < 1:
+        raise ValueError("T and n must be >= 1")
+    if theta <= 0:
+        raise ValueError("theta must be positive")
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError("rho must lie in [0, 1]")
+    if mode not in ("collapsed", "static", "ar1"):
+        raise ValueError("mode must be collapsed, static or ar1")
+    if mode == "ar1" and not isinstance(kernel, GaussianAR1):
+        raise ValueError("ar1 mode needs a GaussianAR1 kernel")
+    if mode == "static" and model is None:
+        raise ValueError("static explicit-location mode needs a model")
+    if observations is not None and model is None:
+        raise ValueError("observations need a model")
 
 
 def reconstruct_counts(c, d):
@@ -96,20 +113,7 @@ class MCMCState:
         mode: str = "collapsed",
         kernel=None,
     ):
-        if T < 1 or n < 1:
-            raise ValueError("T and n must be >= 1")
-        if theta <= 0:
-            raise ValueError("theta must be positive")
-        if not 0.0 <= rho <= 1.0:
-            raise ValueError("rho must lie in [0, 1]")
-        if mode not in ("collapsed", "static", "ar1"):
-            raise ValueError("mode must be collapsed, static or ar1")
-        if mode == "ar1" and not isinstance(kernel, GaussianAR1):
-            raise ValueError("ar1 mode needs a GaussianAR1 kernel")
-        if mode == "static" and model is None:
-            raise ValueError("static explicit-location mode needs a model")
-        if observations is not None and model is None:
-            raise ValueError("observations need a model")
+        _check_setup(T, n, theta, rho, observations, model, mode, kernel)
         self.T = T
         self.n = n
         self.theta = float(theta)
@@ -166,39 +170,31 @@ class MCMCState:
         mode: str = "collapsed",
         kernel=None,
     ) -> "MCMCState":
-        """Forward-simulate (c, d) from the uniform-deletion prior."""
-        state = cls(
-            T, n, theta, rho,
-            observations=observations, model=model, mode=mode, kernel=kernel,
-        )
-        alive: list[list] = []  # [t, k, label] still-alive units
-        c = [[0] * n for _ in range(T)]
-        d = [[T + 1] * n for _ in range(T)]
-        label = 1
+        """Forward-simulate (c, d) from the uniform-deletion prior: each
+        batch is drawn against the units still alive, and each of its units
+        draws its death time at birth, as its lifetime does not depend on the
+        allocations: last alive at t + G - 1, G ~ Geometric(1 - rho), capped
+        at T + 1 (alive at the horizon)."""
+        _check_setup(T, n, theta, rho, observations, model, mode, kernel)
+        urn = UrnState(theta)
+        dying: dict[int, list[int]] = defaultdict(list)  # d -> labels of its units
+        c, d = [], []
         for t in range(1, T + 1):
-            keep = []
-            for unit in alive:
-                if rng.random() < rho:
-                    keep.append(unit)
-                else:
-                    d[unit[0] - 1][unit[1]] = t - 1
-            alive = keep
-            masses: dict[int, int] = defaultdict(int)
-            for unit in alive:
-                masses[unit[2]] += 1
-            urn, batch = allocate_batch(UrnState(theta, dict(masses), next_label=label), n, rng)
-            label = urn.next_label
-            c[t - 1] = batch
-            alive.extend([t, k, lab] for k, lab in enumerate(batch))
-        # units alive after batch T die at the out-of-horizon deletion with
-        # probability 1 - rho (d = T), else carry the alive-at-horizon cap
-        for unit in alive:
-            if rng.random() >= rho:
-                d[unit[0] - 1][unit[1]] = T
-        state._load_tables(c, d, label)
-        if state.mode != "collapsed":
-            state._init_locations(rng)
-        return state
+            urn.boxes = dict(Counter(urn.boxes) - Counter(dying.pop(t - 1, ())))
+            urn, batch = allocate_batch(urn, n, rng)
+            if rho < 1.0:
+                deaths = np.minimum(t - 1 + rng.geometric(1.0 - rho, n), T + 1).tolist()
+            else:
+                deaths = [T + 1] * n
+            for lab, u in zip(batch, deaths):
+                dying[u].append(lab)
+            c.append(batch)
+            d.append(deaths)
+        return cls.from_tables(
+            c, d, theta, rho,
+            observations=observations, model=model, mode=mode, kernel=kernel,
+            canonicalize=False, rng=rng,
+        )
 
     @classmethod
     def from_tables(

@@ -12,6 +12,7 @@ O(1).
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -371,45 +372,46 @@ def _in_time_order(batches: list[ObservationBatch]) -> list[ObservationBatch]:
     return batches
 
 
-def read_observation_batches(path) -> list[ObservationBatch]:
-    """Read JSON-lines {"t": int, "values": [...]} into batches; values must
-    be finite."""
-    import json
-
-    out = []
+def _records(path, key: str):
+    """(t, list) per non-blank JSON line of `path`: t must be an integer and
+    `key` must hold a list."""
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             rec = json.loads(line)
-            t = int(rec["t"])
-            values = tuple(rec["values"])
-            if not all(math.isfinite(z) for z in values):
-                raise DataError(f"non-finite value at t={t}")
-            out.append(ObservationBatch(time=t, values=values))
+            t = rec.get("t") if isinstance(rec, dict) else None
+            if type(t) is not int:
+                raise DataError(f"t must be an integer, got t={t!r}")
+            items = rec.get(key)
+            if not isinstance(items, list):
+                raise DataError(f'no "{key}" list at t={t}')
+            yield t, items
+
+
+def read_observation_batches(path) -> list[ObservationBatch]:
+    """Read JSON-lines {"t": int, "values": [...]} into batches; values must
+    be finite numbers."""
+    out = []
+    for t, values in _records(path, "values"):
+        for z in values:
+            if type(z) not in (int, float) or not math.isfinite(z):
+                raise DataError(f"value {z!r} at t={t} is not a finite number")
+        out.append(ObservationBatch(time=t, values=tuple(values)))
     return _in_time_order(out)
 
 
 def read_corpus(path, vocab_path) -> tuple[list[ObservationBatch], list[str]]:
     """Read JSON-lines {"t": int, "words": [int]} plus a one-token-per-line
-    vocabulary; word ids are validated against the vocabulary size."""
-    import json
-
+    vocabulary; word ids must be integers within the vocabulary."""
     with open(vocab_path) as fh:
         vocab = [line.strip() for line in fh if line.strip()]
     K = len(vocab)
     out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            t = int(rec["t"])
-            words = tuple(int(w) for w in rec["words"])
-            bad = [w for w in words if not 0 <= w < K]
-            if bad:
-                raise DataError(f"word ids {bad} at t={t} outside vocabulary of size {K}")
-            out.append(ObservationBatch(time=t, values=words))
+    for t, words in _records(path, "words"):
+        bad = [w for w in words if type(w) is not int or not 0 <= w < K]
+        if bad:
+            raise DataError(f"word ids {bad} at t={t} are not integers inside the vocabulary of size {K}")
+        out.append(ObservationBatch(time=t, values=tuple(words)))
     return _in_time_order(out), vocab

@@ -45,7 +45,6 @@ __all__ = [
     "FilterConfig",
     "Particle",
     "ParticlePopulation",
-    "DensityEstimate",
     "DegeneracyError",
     "init_particles",
     "advance",
@@ -269,12 +268,6 @@ def advance(
     return {"t": batch.time, "ess": n_eff, "resampled": resampled}
 
 
-@dataclass
-class DensityEstimate:
-    grid: np.ndarray
-    values: np.ndarray
-
-
 def _density_component(model):
     """Map a box parameter to the (mean, variance) of its Gaussian kernel;
     raises ValueError for models without one."""
@@ -286,7 +279,7 @@ def _density_component(model):
     raise ValueError("density estimation needs a Gaussian observation model")
 
 
-def estimate_density(population: ParticlePopulation, grid: np.ndarray, model) -> DensityEstimate:
+def estimate_density(population: ParticlePopulation, grid: np.ndarray, model) -> np.ndarray:
     """Posterior-mean predictive density on a grid: per particle, alive boxes
     weighted m_k/(M+theta) at their current parameters plus theta/(M+theta)
     on the base predictive, averaged with the particle weights.
@@ -312,7 +305,7 @@ def estimate_density(population: ParticlePopulation, grid: np.ndarray, model) ->
         mu, var = (np.asarray(col)[:, None] for col in zip(*map(comp, loc_w)))
         kernels = np.exp(normal_logpdf(grid[None, :], mu, var))
         values = values + np.fromiter(loc_w.values(), dtype=float, count=len(loc_w)) @ kernels
-    return DensityEstimate(grid=grid, values=values)
+    return values
 
 
 def estimate_alive_mass(population: ParticlePopulation) -> float:
@@ -352,6 +345,6 @@ def run_filter(
         if config.rho_walk is not None:
             record["rho_post"] = estimate_rho(population)
         if config.grid is not None:
-            est = estimate_density(population, config.grid, model)
-            record["density"] = {"grid": grid, "values": est.values.tolist()}
+            values = estimate_density(population, config.grid, model)
+            record["density"] = {"grid": grid, "values": values.tolist()}
         yield record, population

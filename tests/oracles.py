@@ -24,6 +24,8 @@ from tvdpm.urn import (
     SizeBiasedDeletion,
     SlidingWindow,
     UniformDeletion,
+    UrnState,
+    allocate_batch,
     policy_uses_walk,
     policy_window,
 )
@@ -216,16 +218,19 @@ def enumerate_toy_posterior(obs, theta, rho, atoms, atom_weights, obs_sigma):
 
 def canonical_state_key(state) -> tuple:
     """Order-of-appearance canonical key of an MCMC state's (c, d) tables."""
+    return canonical_table_key(state.c, state.d)
+
+
+def canonical_table_key(c, d) -> tuple:
+    """Order-of-appearance canonical key of (c, d) tables."""
     remap: dict[int, int] = {}
     cs = []
-    for t in range(state.T):
-        for k in range(state.n):
-            lab = state.c[t][k]
+    for row in c:
+        for lab in row:
             if lab not in remap:
                 remap[lab] = len(remap) + 1
             cs.append(remap[lab])
-    ds = tuple(state.d[t][k] for t in range(state.T) for k in range(state.n))
-    return tuple(cs), ds
+    return tuple(cs), tuple(u for row in d for u in row)
 
 
 def forward_alive_counts(c, d, T):
@@ -242,6 +247,37 @@ def forward_alive_counts(c, d, T):
                     alive[lab] += 1
         out.append(dict(alive))
     return out
+
+
+def unit_survival_prior_tables(T: int, n: int, theta: float, rho: float, rng):
+    """(c, d) from the uniform-deletion prior by unit-level replay: before
+    each batch every alive unit survives with its own coin of probability
+    rho, and the batch is drawn against the survivors.  Units alive after
+    batch T die at the out-of-horizon deletion with probability 1 - rho
+    (d = T), else keep the alive-at-horizon cap T + 1."""
+    alive: list[list] = []  # [t, k, label] still-alive units
+    c = [[0] * n for _ in range(T)]
+    d = [[T + 1] * n for _ in range(T)]
+    label = 1
+    for t in range(1, T + 1):
+        keep = []
+        for unit in alive:
+            if rng.random() < rho:
+                keep.append(unit)
+            else:
+                d[unit[0] - 1][unit[1]] = t - 1
+        alive = keep
+        masses: dict[int, int] = defaultdict(int)
+        for unit in alive:
+            masses[unit[2]] += 1
+        urn, batch = allocate_batch(UrnState(theta, dict(masses), next_label=label), n, rng)
+        label = urn.next_label
+        c[t - 1] = batch
+        alive.extend([t, k, lab] for k, lab in enumerate(batch))
+    for unit in alive:
+        if rng.random() >= rho:
+            d[unit[0] - 1][unit[1]] = T
+    return c, d
 
 
 def inline_categorical(probs, rng) -> int:
@@ -917,19 +953,6 @@ class ReferenceUrnEnsemble:
             ids[:, k] = col
         self.time += 1
         return ids
-
-    # -- observables ----------------------------------------------------------
-
-    def total_mass(self) -> np.ndarray:
-        return self._agg.sum(axis=1)
-
-    def predictive_mean(self) -> np.ndarray:
-        """Mean of the urn-induced predictive: boxes weighted m_k/(M+theta)
-        at their locations plus theta/(M+theta) at the base mean, 0."""
-        if self._loc is None:
-            raise ValueError("ensemble built without track_locations")
-        total = self._agg.sum(axis=1)
-        return (self._agg * self._loc).sum(axis=1) / (total + self.theta)
 
 
 # -- exact filters for a single forced cluster, the oracles of the particle

@@ -193,7 +193,7 @@ def test_criterion_05_smc_exact_baseline():
     for z in data:
         model.stats_add(stats, float(z))
     exact = model.predictive_grid(stats, grid)
-    tv_grid = 0.5 * float(np.trapezoid(np.abs(est.values - exact), grid))
+    tv_grid = 0.5 * float(np.trapezoid(np.abs(est - exact), grid))
     elapsed = time.time() - start
     ok = tv_grid < 0.05 and elapsed < 60.0
     report(

@@ -130,6 +130,35 @@ class TestCli:
         assert a.read_bytes() == b.read_bytes()
         assert len(a.read_text().splitlines()) == 1000
 
+    @pytest.mark.parametrize(
+        "segments,named",
+        [
+            ([(1, 2, [1.0]), (3, 4, [0.5, 0.3]), (5, 6, [1.0])], "weights at t=3"),
+            ([(1, 2, [1.0]), (3, 4, [1.2, -0.2]), (5, 6, [1.0])], "weights at t=3"),
+            ([(1, 2, [1.0]), (4, 6, [1.0])], "time 3 not covered"),
+        ],
+        ids=["middle-weights", "negative-weight", "gap"],
+    )
+    def test_gen_data_stream_config_checked_before_writing(self, tmp_path, segments, named):
+        # a bad middle regime used to write its first records, then fail
+        # with a traceback
+        cfg = {
+            "T": 6,
+            "segments": [
+                {"start": a, "end": b, "components": [{"w": w, "mu": 0.0, "sigma": 1.0} for w in ws]}
+                for a, b, ws in segments
+            ],
+        }
+        cfg_path = tmp_path / "stream.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "o.jsonl"
+        code, _, err = run_cli(
+            ["gen-data", "--stream-config", str(cfg_path), "--seed", "1", "--out", str(out)]
+        )
+        assert code == 2
+        assert err.startswith("error: ") and named in err
+        assert not out.exists()
+
     def test_gen_data_topic(self, tmp_path):
         data = tmp_path / "corpus.jsonl"
         vocab = tmp_path / "vocab.txt"
@@ -424,6 +453,38 @@ class TestBadData:
         code, _, err = run_cli(reader(tmp_path, [{"t": 1, key: [1]}, {"t": 2, key: []}]))
         assert code == 2
         assert err.startswith("error: ") and "t=2" in err
+
+    @pytest.mark.parametrize("reader", [write_stream, write_corpus], ids=["stream", "corpus"])
+    @pytest.mark.parametrize("t", ["x", 1.5, True, None], ids=["text", "float", "bool", "missing"])
+    def test_time_not_an_integer(self, tmp_path, reader, t):
+        key = "values" if reader is write_stream else "words"
+        record = {key: [1]} if t is None else {"t": t, key: [1]}
+        code, _, err = run_cli(reader(tmp_path, [record]))
+        assert code == 2
+        assert err.startswith("error: t must be an integer") and f"t={t!r}" in err
+
+    @pytest.mark.parametrize("reader", [write_stream, write_corpus], ids=["stream", "corpus"])
+    def test_batch_missing(self, tmp_path, reader):
+        key = "values" if reader is write_stream else "words"
+        code, _, err = run_cli(reader(tmp_path, [{"t": 1, key: [1]}, {"t": 2}]))
+        assert code == 2
+        assert err.startswith("error: ") and f'no "{key}" list' in err and "t=2" in err
+
+    @pytest.mark.parametrize("value", ["a", True, None, [0.5]], ids=["text", "bool", "null", "list"])
+    def test_value_not_a_number(self, tmp_path, value):
+        # true was read as 1.0 and a string failed with a traceback
+        args = write_stream(tmp_path, [{"t": 1, "values": [0.1]}, {"t": 2, "values": [0.2, value]}])
+        code, _, err = run_cli(args)
+        assert code == 2
+        assert err.startswith("error: ") and "not a finite number" in err and "t=2" in err
+
+    @pytest.mark.parametrize("word", [1.5, True, "1"], ids=["float", "bool", "text"])
+    def test_word_id_not_an_integer(self, tmp_path, word):
+        # 1.5 and true were read as word 1
+        args = write_corpus(tmp_path, [{"t": 1, "words": [0]}, {"t": 2, "words": [word, 2]}])
+        code, _, err = run_cli(args)
+        assert code == 2
+        assert err.startswith("error: ") and f"[{word!r}]" in err and "t=2" in err
 
     def test_word_ids_outside_vocabulary(self, tmp_path):
         args = write_corpus(tmp_path, [{"t": 1, "words": [0, 3]}, {"t": 2, "words": [9, 4]}])

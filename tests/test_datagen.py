@@ -12,6 +12,7 @@ from tvdpm.datagen import (
     mixture_density,
     write_jsonl,
 )
+from tvdpm.models import DataError
 
 
 class TestDensityStream:
@@ -67,6 +68,24 @@ class TestDensityStream:
         }
         with pytest.raises(ValueError):
             list(gen_density_data(cfg, rng))
+
+    @pytest.mark.parametrize(
+        "weights,named",
+        [((1.0, 0.8, 1.0), "weights at t=2"), ((1.0, None, 1.0), "time 2 not covered")],
+        ids=["middle-weights", "gap"],
+    )
+    def test_every_step_checked(self, rng, weights, named):
+        # the old check read the weights at t = 1 and t = T only
+        cfg = {
+            "T": 3,
+            "segments": [
+                {"start": t, "end": t, "components": [{"w": w, "mu": 0.0, "sigma": 1.0}]}
+                for t, w in enumerate(weights, start=1)
+                if w is not None
+            ],
+        }
+        with pytest.raises(DataError, match=named):
+            gen_density_data(cfg, rng)
 
 
 class TestTopicCorpus:

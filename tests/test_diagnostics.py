@@ -119,6 +119,14 @@ class TestCorrelationCurve:
         with pytest.raises(ValueError, match="n_mc"):
             mean_correlation_curve(3.0, 0.9, [0, 1], 1, 5, rng)
 
+    @pytest.mark.parametrize("phi", [1.5, -1.01])
+    def test_kernel_phi_outside_unit_interval_rejected(self, phi, rng):
+        # sqrt(1 - phi^2) of the AR(1) step would be NaN; nothing is drawn
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"phi must lie in \[-1, 1\]"):
+            mean_correlation_curve(3.0, 0.9, [0, 1], 100, 5, rng, kernel_phi=phi)
+        assert rng.bit_generator.state == state
+
     def test_csv_rows(self):
         curve = CorrelationCurve([0, 1], [1.0, 0.8], 3.0, 0.9, 100, 10)
         rows = list(curve.csv_rows())

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tvdpm.ensemble import UrnEnsemble, batch_partition_distribution
+from tvdpm.kernels import GaussianAR1, GaussianKnownVar, StaticKernel
 from tvdpm.urn import (
     ComposePolicy,
     MixturePolicy,
@@ -62,7 +63,7 @@ def test_size_biased_count_two_removes_two_boxes(rng):
     ens = UrnEnsemble(2_000, 1.0, policy)
     for _ in range(2):
         ens.step(2, rng)
-    assert (ens.total_mass() == 2).all()
+    assert (ens._agg.sum(axis=1) == 2).all()
     for _ in range(200):
         state = UrnState.for_policy(1.0, policy)
         for _ in range(2):
@@ -74,14 +75,14 @@ def test_mass_without_deletion(rng):
     ens = UrnEnsemble(500, 2.0, UniformDeletion(1.0))
     for t in range(1, 6):
         ens.step(3, rng)
-        assert (ens.total_mass() == 3 * t).all()
+        assert (ens._agg.sum(axis=1) == 3 * t).all()
 
 
 def test_window_mass(rng):
     ens = UrnEnsemble(500, 1.0, SlidingWindow(2))
     for t in range(1, 9):
         ens.step(3, rng)
-        assert (ens.total_mass() == 3 * min(t, 3)).all()
+        assert (ens._agg.sum(axis=1) == 3 * min(t, 3)).all()
 
 
 def test_partition_keys_sum_to_one(rng):
@@ -104,16 +105,9 @@ def test_rho_walk_rejected():
         UrnEnsemble(10, 1.0, MixturePolicy(0.5, UniformDeletion(None), SizeBiasedDeletion()))
 
 
-@pytest.mark.parametrize("phi", [1.5, -1.01])
-def test_kernel_phi_outside_unit_interval_rejected(phi):
-    # sqrt(1 - phi^2) of the AR(1) step would be NaN
-    with pytest.raises(ValueError, match="kernel_phi"):
-        UrnEnsemble(10, 1.0, UniformDeletion(0.5), track_locations=True, kernel_phi=phi)
-
-
 def test_predictive_mean_single_box(rng):
     # after one n=1 step the predictive mean is u/(1+theta) per replica
-    ens = UrnEnsemble(200, 3.0, UniformDeletion(1.0), track_locations=True)
+    ens = UrnEnsemble(200, 3.0, UniformDeletion(1.0), kernel=StaticKernel())
     ens.step(1, rng)
     locs = ens._loc[np.arange(200), 0]
     assert ens.predictive_mean() == pytest.approx(locs / 4.0)
@@ -125,10 +119,10 @@ def test_column_growth_under_pressure(rng):
     ens = UrnEnsemble(50, 5.0, UniformDeletion(0.2))
     assert ens.columns == 16
     ens.step(20, rng)
-    assert ens.columns >= 20 and (ens.total_mass() == 20).all()
+    assert ens.columns >= 20 and (ens._agg.sum(axis=1) == 20).all()
     for _ in range(30):
         ens.step(6, rng)
-    assert (ens.total_mass() >= 6).all()
+    assert (ens._agg.sum(axis=1) >= 6).all()
 
 
 @pytest.mark.parametrize("R", [0, -1])
@@ -166,11 +160,15 @@ REFERENCE_SIZES = [(R, n) for R in (1, 50, 3000) for n in (1, 5, 20)]
 REFERENCE_STEPS = 10
 
 
-def assert_steps_equal_reference(R, n, theta, policy, seed, **kw):
+def assert_steps_equal_reference(R, n, theta, policy, seed, kernel=None):
     """Step the ensemble and the reference side by side from equally seeded
     generators; after every step the draws, the arrays and the generator
-    state must be equal."""
-    fast, ref = UrnEnsemble(R, theta, policy, **kw), ReferenceUrnEnsemble(R, theta, policy, **kw)
+    state must be equal.  The reference moves its locations by its own
+    inline AR(1) step with the kernel's phi."""
+    fast = UrnEnsemble(R, theta, policy, kernel=kernel)
+    ref = ReferenceUrnEnsemble(
+        R, theta, policy, track_locations=kernel is not None, kernel_phi=getattr(kernel, "phi", None)
+    )
     fast_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(REFERENCE_STEPS):
         np.testing.assert_array_equal(fast.step(n, fast_rng), ref.step(n, ref_rng))
@@ -197,6 +195,5 @@ def test_steps_equal_reference(name, R, n):
 @pytest.mark.parametrize("phi", [None, 0.8, -1.0])
 def test_locations_equal_reference(phi, R, n):
     policy = MixturePolicy(0.7, UniformDeletion(0.9), SizeBiasedDeletion())
-    assert_steps_equal_reference(
-        R, n, 3.0, policy, seed=R + n, track_locations=True, kernel_phi=phi
-    )
+    kernel = StaticKernel() if phi is None else GaussianAR1(phi, GaussianKnownVar(0.0, 1.0))
+    assert_steps_equal_reference(R, n, 3.0, policy, seed=R + n, kernel=kernel)

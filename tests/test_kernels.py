@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from tvdpm.diagnostics import BrokenNoiseKernel
 from tvdpm.kernels import (
     FiniteAtomic,
     GaussianAR1,
@@ -97,3 +98,23 @@ class TestTransitions:
     def test_phi_validated(self):
         with pytest.raises(ValueError):
             GaussianAR1(1.5, GaussianKnownVar(0.0, 1.0))
+
+    @pytest.mark.parametrize("kind", [GaussianAR1, BrokenNoiseKernel], ids=["ar1", "broken-noise"])
+    def test_array_steps_as_float_calls(self, kind):
+        # one call on m values equals m float calls draw for draw, and
+        # leaves the generator where they leave it
+        kernel = kind(0.7, GaussianKnownVar(0.4, 1.3))
+        u = np.random.default_rng(3).normal(size=(4, 5))
+        a, b = np.random.default_rng(11), np.random.default_rng(11)
+        stepped = kernel.transition(u, a)
+        one_by_one = [kernel.transition(x, b) for x in u.ravel().tolist()]
+        assert isinstance(stepped, np.ndarray) and stepped.shape == u.shape
+        assert stepped.ravel().tolist() == one_by_one
+        assert all(type(x) is float for x in one_by_one)
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_static_returns_its_input(self, rng):
+        state = rng.bit_generator.state
+        u = np.arange(6.0).reshape(2, 3)
+        assert StaticKernel().transition(u, rng) is u
+        assert rng.bit_generator.state == state

@@ -83,6 +83,51 @@ class TestPriorSimulation:
         state = MCMCState.from_prior(3, 2, 1.0, 0.0, rng)
         assert all(state.d[t][k] == t + 1 for t in range(3) for k in range(2))
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((0, 2, 1.0, 0.5), "T and n must be >= 1"),
+            ((2, 0, 1.0, 0.5), "T and n must be >= 1"),
+            ((2, 2, 0.0, 0.5), "theta must be positive"),
+            ((2, 2, -1.0, 0.5), "theta must be positive"),
+            ((2, 2, 1.0, -0.1), r"rho must lie in \[0, 1\]"),
+            ((2, 2, 1.0, 1.5), r"rho must lie in \[0, 1\]"),
+        ],
+        ids=["T0", "n0", "theta0", "theta-neg", "rho-neg", "rho-above-one"],
+    )
+    def test_bad_arguments_rejected_before_any_draw(self, rng, args, message):
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            MCMCState.from_prior(*args, rng)
+        assert rng.bit_generator.state == state
+
+
+PRIOR_DRAWS = 100_000
+
+
+def _from_prior_tables(T, n, theta, rho, rng):
+    state = MCMCState.from_prior(T, n, theta, rho, rng)
+    return state.c, state.d
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.9])
+@pytest.mark.parametrize(
+    "draw",
+    [_from_prior_tables, oracles.unit_survival_prior_tables],
+    ids=["from_prior", "unit-survival-replay"],
+)
+def test_prior_draw_matches_exact_prior(draw, rho):
+    """At T = n = 2 the toy enumeration with one atom and equal observations
+    has a flat likelihood, so it is the exact prior over canonical (c, d).
+    Negative control: the same draws against the prior at theta = 1.8."""
+    theta = 1.2
+    rng = np.random.default_rng(int(rho * 10))
+    freq = Counter(oracles.canonical_table_key(*draw(2, 2, theta, rho, rng)) for _ in range(PRIOR_DRAWS))
+    emp = {key: count / PRIOR_DRAWS for key, count in freq.items()}
+    flat = ([0.0, 0.0], [0.0, 0.0])
+    assert tv(emp, enumerate_toy_posterior(flat, theta, rho, (0.0,), (1.0,), 1.0)) < 0.03
+    assert tv(emp, enumerate_toy_posterior(flat, 1.8, rho, (0.0,), (1.0,), 1.0)) > 0.1
+
 
 class TestDeathTimeMove:
     def test_rho_one_forces_cap(self, rng):

@@ -280,8 +280,8 @@ class TestEstimators:
         # out before it covers the mass
         grid = np.linspace(-30, 30, 1201)
         est = estimate_density(pop, grid, model)
-        assert np.allclose(est.values, model.predictive_grid(model.empty_stats(), grid))
-        assert np.trapezoid(est.values, est.grid) == pytest.approx(1.0, abs=0.02)
+        assert np.allclose(est, model.predictive_grid(model.empty_stats(), grid))
+        assert np.trapezoid(est, grid) == pytest.approx(1.0, abs=0.02)
 
     def test_density_huge_box_dominates(self):
         model = GaussianModel(NIG)
@@ -291,7 +291,7 @@ class TestEstimators:
         grid = np.linspace(-8, 8, 401)
         est = estimate_density(pop, grid, model)
         target = np.exp(-0.5 * grid**2) / math.sqrt(2 * math.pi)
-        assert np.max(np.abs(est.values - target)) < 1e-4
+        assert np.max(np.abs(est - target)) < 1e-4
 
     def test_density_rejects_topic_model(self):
         pop = make_population([particle_with({}, {})], [1.0])
@@ -307,7 +307,7 @@ class TestEstimators:
             advance(pop, ObservationBatch(t, (float(z),)), model, StaticKernel(), cfg)
         grid = np.linspace(-10, 10, 400)
         est = estimate_density(pop, grid, model)
-        assert abs(np.trapezoid(est.values, est.grid) - 1.0) < 0.02
+        assert abs(np.trapezoid(est, grid) - 1.0) < 0.02
 
 
 class TestExactFilterAgreement:
@@ -326,7 +326,7 @@ class TestExactFilterAgreement:
         for z in data:
             model.stats_add(stats, float(z))
         exact = model.predictive_grid(stats, grid)
-        tv = 0.5 * np.trapezoid(np.abs(est.values - exact), grid)
+        tv = 0.5 * np.trapezoid(np.abs(est - exact), grid)
         assert tv < 0.08
 
 
@@ -357,7 +357,7 @@ class TestSingleClusterOracles:
         batches = [ObservationBatch(t, (z,)) for t, z in enumerate(obs, 1)]
         pop = _forced_single_cluster(model, GaussianAR1(phi, base), batches, 1000, 7)
         grid = np.linspace(-10.0, 10.0, 801)
-        est = estimate_density(pop, grid, model).values
+        est = estimate_density(pop, grid, model)
         m, v = kalman_ar1_filter(obs, oracle_phi, mu0, sigma0, obs_sigma)
         exact = np.exp(-0.5 * (grid - m) ** 2 / (v + obs_sigma**2)) / math.sqrt(
             2.0 * math.pi * (v + obs_sigma**2)
@@ -522,6 +522,6 @@ class TestFastStepAgainstReference:
             if resampled:
                 est = estimate_density(pop, grid, model)
                 np.testing.assert_allclose(
-                    est.values, reference_density(pop, grid, model), rtol=1e-12, atol=0
+                    est, reference_density(pop, grid, model), rtol=1e-12, atol=0
                 )
         assert resampled > 0
