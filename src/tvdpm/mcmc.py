@@ -42,6 +42,7 @@ NEG_INF = float("-inf")
 
 
 def _check_setup(T, n, theta, rho, observations, model, mode, kernel):
+    """The constructor's argument checks; `from_prior` runs them before its first draw."""
     if T < 1 or n < 1:
         raise ValueError("T and n must be >= 1")
     if theta <= 0:
