@@ -130,11 +130,33 @@ def mixture_density(grid: np.ndarray, components: list[dict]) -> np.ndarray:
     return out
 
 
+def _check_segments(cfg: dict) -> None:
+    for seg in cfg["segments"]:
+        span = f"segment {seg['start']}..{seg['end']}"
+        sigmas = [c["sigma"] for c in seg["components"]]
+        if any(not s > 0 for s in sigmas):
+            raise DataError(f"{span}: every component sigma must be positive: {sigmas}")
+        drift = seg.get("drift")
+        if drift is None:
+            continue
+        if not drift["end"] > drift["start"]:
+            raise DataError(
+                f"{span}: drift end must be after its start, got {drift['start']}..{drift['end']}"
+            )
+        if drift["component"] not in range(len(sigmas)):
+            raise DataError(
+                f"{span}: drift component {drift['component']!r} is not one of its"
+                f" {len(sigmas)} components"
+            )
+
+
 def gen_density_data(cfg: dict, rng: np.random.Generator) -> list[dict]:
     """One record per time step: {"t", "values", "truth"} where truth lists
     the active mixture components.  A step no segment covers, or whose
-    weights are negative or do not sum to 1, raises DataError before any
-    record is returned."""
+    weights are negative or do not sum to 1, a sigma that is not positive,
+    and a drift that does not end after it starts or names a component its
+    segment lacks raise DataError before any record is returned."""
+    _check_segments(cfg)
     n = cfg.get("n_per_step", 1)
     records = []
     for t in range(1, cfg["T"] + 1):

@@ -14,7 +14,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 from scipy import integrate
-from scipy.stats import norm
+from scipy.stats import kstest, kstwo, norm
 
 from tvdpm.partitions import CountsVector
 from tvdpm.urn import (
@@ -980,3 +980,19 @@ def dirichlet_multinomial_predictive(words, theta_v, vocab_size) -> np.ndarray:
     Dirichlet(theta_v / K) prior."""
     counts = np.bincount(np.asarray(words, dtype=int), minlength=vocab_size)
     return (counts + theta_v / vocab_size) / (len(words) + theta_v)
+
+
+# -- scipy's Kolmogorov-Smirnov test, the oracle of the validation suite's
+# in-package statistic and p-value.
+
+
+def reference_ks_test(values, mu: float, sigma: float) -> tuple[float, float]:
+    """scipy's exact two-sided KS test of values against Normal(mu, sigma^2):
+    (statistic, p-value)."""
+    result = kstest(values, norm(loc=mu, scale=sigma).cdf)
+    return float(result.statistic), float(result.pvalue)
+
+
+def reference_kolmogorov_sf(n: int, d: float) -> float:
+    """scipy's P(D_n >= d) for the two-sided KS statistic of n points."""
+    return float(kstwo.sf(d, n))

@@ -136,19 +136,37 @@ class TestCli:
             ([(1, 2, [1.0]), (3, 4, [0.5, 0.3]), (5, 6, [1.0])], "weights at t=3"),
             ([(1, 2, [1.0]), (3, 4, [1.2, -0.2]), (5, 6, [1.0])], "weights at t=3"),
             ([(1, 2, [1.0]), (4, 6, [1.0])], "time 3 not covered"),
+            ([(1, 2, [1.0]), (3, 6, [1.0], {"start": 4, "end": 4})], "drift end must be after"),
+            (
+                [(1, 2, [1.0]), (3, 6, [1.0], {"start": 4, "end": 5, "component": 1})],
+                "drift component 1",
+            ),
+            ([(1, 2, [1.0]), (3, 6, [0.5, 0.5], None, -1.0)], "sigma must be positive"),
+            ([(1, 2, [1.0]), (3, 6, [0.5, 0.5], None, 0.0)], "sigma must be positive"),
         ],
-        ids=["middle-weights", "negative-weight", "gap"],
+        ids=[
+            "middle-weights",
+            "negative-weight",
+            "gap",
+            "drift-no-span",
+            "drift-component",
+            "sigma-negative",
+            "sigma-zero",
+        ],
     )
     def test_gen_data_stream_config_checked_before_writing(self, tmp_path, segments, named):
         # a bad middle regime used to write its first records, then fail
-        # with a traceback
-        cfg = {
-            "T": 6,
-            "segments": [
-                {"start": a, "end": b, "components": [{"w": w, "mu": 0.0, "sigma": 1.0} for w in ws]}
-                for a, b, ws in segments
-            ],
-        }
+        # with a traceback; a zero-span drift, a drift on a missing
+        # component and a negative sigma failed with one before anything ran
+        def segment(a, b, ws, drift=None, sigma=1.0):
+            comps = [{"w": w, "mu": 0.0, "sigma": 1.0} for w in ws]
+            comps[-1]["sigma"] = sigma
+            seg = {"start": a, "end": b, "components": comps}
+            if drift is not None:
+                seg["drift"] = {"component": 0, "mu_from": 0.0, "mu_to": 1.0, **drift}
+            return seg
+
+        cfg = {"T": 6, "segments": [segment(*args) for args in segments]}
         cfg_path = tmp_path / "stream.json"
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "o.jsonl"
@@ -282,14 +300,29 @@ class TestCli:
         assert proc.returncode == 2
 
     def test_cli_import_leaves_out_scipy_stats(self):
-        # scipy costs most of the package's import time: only the kernel
-        # stationarity check uses it (scipy.stats), and jsonschema is loaded
-        # only where a config or a --policy is read
+        # no command needs scipy (the KS p-value of the stationarity check
+        # is computed in the package), and jsonschema is loaded only where
+        # a config or a --policy is read
         out = fresh_python(
             "import sys, tvdpm.cli\n"
             "print([m for m in ('scipy.stats', 'scipy.special', 'jsonschema') if m in sys.modules])"
         )
         assert out == "[]"
+
+    def test_stationarity_check_runs_without_scipy(self):
+        # sys.modules["scipy"] = None makes any scipy import fail
+        out = fresh_python(
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import numpy as np\n"
+            "from tvdpm.diagnostics import BrokenNoiseKernel, kernel_stationarity_test\n"
+            "from tvdpm.kernels import GaussianAR1, GaussianKnownVar\n"
+            "base = GaussianKnownVar(0.0, 1.0)\n"
+            "rng = np.random.default_rng(5)\n"
+            "for kernel in (GaussianAR1(0.9, base), BrokenNoiseKernel(0.9, base)):\n"
+            "    print(kernel_stationarity_test(kernel, base, 20, 2_000, rng).pvalue > 0.01)"
+        )
+        assert out.split() == ["True", "False"]
 
     @pytest.mark.parametrize("reader", [write_stream, write_corpus], ids=["smc", "mcmc"])
     def test_inference_runs_without_scipy(self, tmp_path, reader):

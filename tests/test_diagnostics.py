@@ -8,9 +8,12 @@ from tvdpm.diagnostics import (
     BrokenNoiseKernel,
     CorrelationCurve,
     esf_distribution,
+    MIN_KS_CHAINS,
     esf_marginal_test,
     expected_count_check,
     kernel_stationarity_test,
+    kolmogorov_sf,
+    ks_statistic,
     mean_correlation_curve,
     run_validation_suite,
     tv_distance,
@@ -23,6 +26,8 @@ from tvdpm.urn import (
     SlidingWindow,
     UniformDeletion,
 )
+
+from . import oracles
 
 ALL_POLICIES = {
     "uniform": UniformDeletion(0.7),
@@ -154,6 +159,96 @@ class TestKernelStationarity:
 
         with pytest.raises(ValueError):
             kernel_stationarity_test(StaticKernel(), SymmetricDirichlet(0.5, 3), 5, 10, rng)
+
+    @pytest.mark.parametrize("n_chains", [MIN_KS_CHAINS - 1, 5])
+    def test_chain_floor_checked_before_any_draw(self, rng, n_chains):
+        base = GaussianKnownVar(0.0, 1.0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"at least {MIN_KS_CHAINS} chains"):
+            kernel_stationarity_test(GaussianAR1(0.9, base), base, 5, n_chains, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize(
+        "kernel", [StaticKernel(), BrokenNoiseKernel(0.9, GaussianKnownVar(0.5, 2.0))]
+    )
+    def test_report_matches_scipy_on_the_same_draws(self, kernel):
+        base = GaussianKnownVar(0.5, 2.0)
+        rep = kernel_stationarity_test(kernel, base, 3, 2_000, np.random.default_rng(12))
+        rng = np.random.default_rng(12)
+        values = rng.normal(base.mu0, base.sigma0, 2_000)
+        for _ in range(3):
+            values = kernel.transition(values, rng)
+        statistic, pvalue = oracles.reference_ks_test(values, base.mu0, base.sigma0)
+        assert abs(rep.statistic - statistic) <= 1e-15
+        assert rep.pvalue == pytest.approx(pvalue, rel=1e-10, abs=1e-7)
+
+
+class TestKolmogorov:
+    """The in-package KS statistic and two-sided tail, pinned against
+    scipy's `kstest` and `kstwo.sf` (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1.05, 1.3])
+    @pytest.mark.parametrize("n", [2_000, 3_000, 10_000])
+    def test_statistic_matches_kstest(self, n, scale):
+        values = np.random.default_rng(n).normal(0.0, scale, n)
+        statistic, _ = oracles.reference_ks_test(values, 0.0, 1.0)
+        assert abs(ks_statistic(values, 0.0, 1.0) - statistic) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1_000, 2_000, 3_000, 10_000])
+    def test_tail_matches_kstwo(self, n):
+        # above n·d² = 2.2 both sides sum the same exact series, so they
+        # agree to rounding; below it the Pelz–Good series is within 1e-7
+        for z in np.linspace(0.05, 9.0, 300):
+            d = float(z / math.sqrt(n))
+            ours, ref = kolmogorov_sf(n, d), oracles.reference_kolmogorov_sf(n, d)
+            assert abs(ours - ref) <= 1e-7, (n, d)
+            if n * d * d >= 2.2:
+                assert abs(ours - ref) <= 1e-10 * ref, (n, d)
+
+    @pytest.mark.parametrize(
+        "n,d,expected",
+        [
+            (1_000, 0.0, 1.0),
+            (1_000, -0.1, 1.0),
+            (1_000, 1.0, 0.0),
+            (1_000, 1.5, 0.0),
+            (1_000, 0.5 / 1_000, 1.0),
+            (1_000, 0.3 / 1_000, 1.0),
+            (1_000, 0.62, 0.0),
+            (2_000, 0.44, 0.0),
+        ],
+        ids=[
+            "d-zero",
+            "d-negative",
+            "d-one",
+            "d-above-one",
+            "t-half",
+            "t-below-half",
+            "nd2-370-d-above-half",
+            "nd2-370",
+        ],
+    )
+    def test_closed_branches(self, n, d, expected):
+        assert kolmogorov_sf(n, d) == expected
+        if 0.0 < d < 1.0:
+            assert oracles.reference_kolmogorov_sf(n, d) == pytest.approx(expected, abs=1e-300)
+
+    @pytest.mark.parametrize("n", [5, 1_000])
+    @pytest.mark.parametrize("t", [0.51, 0.75, 1.0])
+    def test_ruben_gambino_small_t(self, n, t):
+        # 1 - n!/n^n (2t - 1)^n, exact for every n
+        d = t / n
+        expected = 1.0 - math.factorial(n) / n**n * (2.0 * t - 1.0) ** n
+        tail = kolmogorov_sf(n, d)
+        assert tail == pytest.approx(expected, rel=1e-12)
+        assert tail == pytest.approx(oracles.reference_kolmogorov_sf(n, d), rel=1e-12)
+
+    @pytest.mark.parametrize("n,d", [(5, 0.8), (5, 0.9), (1_000, 0.999), (1_000, 0.9995)])
+    def test_ruben_gambino_large_t(self, n, d):
+        # n·d >= n - 1: 2(1 - d)^n, exact for every n
+        tail = kolmogorov_sf(n, d)
+        assert tail == pytest.approx(2.0 * (1.0 - d) ** n, rel=1e-12)
+        assert tail == pytest.approx(oracles.reference_kolmogorov_sf(n, d), rel=1e-12)
 
 
 class TestValidationSuite:
