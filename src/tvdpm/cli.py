@@ -9,6 +9,7 @@ seed.  Exit codes: 0 ok, 1 validation/run failure, 2 usage or data error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -22,8 +23,8 @@ from .config import (
     build_model,
     build_policy,
     build_sampler,
+    check_schema,
     load_config,
-    _schema,
 )
 from .diagnostics import mean_correlation_curve, run_validation_suite
 from .kernels import StaticKernel
@@ -34,16 +35,8 @@ from .urn import policy_uses_walk, run_trajectory
 
 
 def _policy_from_string(text: str):
-    import jsonschema
-
     spec = json.loads(text)
-    schema = _schema()
-    try:
-        jsonschema.validate(
-            spec, {"definitions": schema["definitions"], "$ref": "#/definitions/policy"}
-        )
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"policy rejected: {exc.message}") from exc
+    check_schema(spec, "policy", "policy")
     policy = build_policy(spec)
     if policy_uses_walk(policy):
         raise ConfigError('policy rejected: the rho walk ("rho": "walk") is for smc only')
@@ -81,48 +74,68 @@ _PROBABILITY = _checked(float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
 _AR1_PHI = _checked(float, lambda x: -1.0 <= x <= 1.0, "in [-1, 1]")
 
 
-def _open_out(path):
+@contextlib.contextmanager
+def _output(path):
+    """The command's output: stdout for None or "-", else the file at
+    `path`, opened for writing and closed when the block ends."""
     if path in (None, "-"):
-        return sys.stdout
-    return open(path, "w")
+        yield sys.stdout
+    else:
+        with open(path, "w") as fh:
+            yield fh
+
+
+def _write_jsonl(path, records) -> None:
+    """Open the output, then draw the records one by one and write each
+    as one JSON line."""
+    with _output(path) as out:
+        for rec in records:
+            out.write(json.dumps(rec) + "\n")
+
+
+def _read_batches(cfg, command: str):
+    """The observation batches of `cfg`'s data section: a corpus over a
+    vocabulary of `model.vocab_size` words for a topic model, a value
+    stream otherwise."""
+    data = cfg.data
+    if data is None:
+        raise ConfigError(f"{command} needs a data section")
+    if cfg.model["type"] != "topic":
+        return read_observation_batches(data["path"])
+    if "vocab_path" not in data:
+        raise ConfigError("a topic model needs data.vocab_path")
+    batches, vocab = read_corpus(data["path"], data["vocab_path"])
+    if len(vocab) != cfg.model["vocab_size"]:
+        raise ConfigError(
+            f"the vocabulary {data['vocab_path']} has {len(vocab)} words"
+            f" but model.vocab_size is {cfg.model['vocab_size']}"
+        )
+    return batches
 
 
 def cmd_gen_data(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.preset == "topic-synthetic":
         records, vocab, _topics = datagen.gen_topic_corpus(datagen.TOPIC_PRESET, rng)
-        datagen.write_jsonl(records, args.out)
+        _write_jsonl(args.out, records)
         if args.vocab_out:
             with open(args.vocab_out, "w") as fh:
                 fh.write("\n".join(vocab) + "\n")
         return 0
     if args.preset is not None:
-        cfg = datagen.density_stream_config(preset=args.preset)
+        cfg = datagen.DENSITY_PRESETS[args.preset]
     else:
         with open(args.stream_config) as fh:
             cfg = json.load(fh)
-        cfg = datagen.density_stream_config(config=cfg)
-    records = datagen.gen_density_data(cfg, rng)
-    out = _open_out(args.out)
-    try:
-        for rec in records:
-            out.write(json.dumps(rec) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        check_schema(cfg, "stream config", "stream")
+    _write_jsonl(args.out, datagen.gen_density_data(cfg, rng))
     return 0
 
 
 def cmd_simulate(args) -> int:
     policy = _policy_from_string(args.policy)
     rng = np.random.default_rng(args.seed)
-    out = _open_out(args.out)
-    try:
-        for rec in run_trajectory(args.theta, policy, args.n, args.steps, rng):
-            out.write(json.dumps(rec) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_jsonl(args.out, run_trajectory(args.theta, policy, args.n, args.steps, rng))
     return 0
 
 
@@ -133,8 +146,8 @@ def cmd_validate(args) -> int:
         print(f"[{status}] {check['name']}: value={check['value']:.5g} threshold={check['threshold']:.5g} ({check['kind']})")
     print(f"{'OK' if report['passed'] else 'FAILED'}: {sum(c['passed'] for c in report['checks'])}/{len(report['checks'])} checks passed")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2)
+        with _output(args.out) as out:
+            json.dump(report, out, indent=2)
     return 0 if report["passed"] else 1
 
 
@@ -143,71 +156,50 @@ def cmd_smc(args) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
     model = build_model(cfg.model)
     fc = build_filter_config(cfg)
-    if cfg.data is None:
-        raise ConfigError("smc needs a data section")
-    if cfg.model["type"] == "topic":
-        batches, _ = read_corpus(cfg.data["path"], cfg.data["vocab_path"])
-    else:
-        batches = read_observation_batches(cfg.data["path"])
-    out_path = args.out or (cfg.output or {}).get("path")
-    out = _open_out(out_path)
+    batches = _read_batches(cfg, "smc")
     rng = np.random.default_rng(seed)
+    # the smc schema has no kernel key: locations stay static
+    records = (rec for rec, _pop in run_filter(batches, model, StaticKernel(), fc, rng))
     try:
-        # the smc schema has no kernel key: locations stay static
-        for rec, _pop in run_filter(batches, model, StaticKernel(), fc, rng):
-            out.write(json.dumps(rec) + "\n")
+        _write_jsonl(args.out or (cfg.output or {}).get("path"), records)
     except DegeneracyError as exc:
         print(f"degenerate particle population: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
+
+
+def _sweep_records(state, rng, inf: dict, ckpt_path):
+    """One record per sweep; with a checkpoint path, every
+    `checkpoint_every`-th record is followed by a checkpoint file."""
+    every = inf.get("checkpoint_every", 0)
+    for s in range(1, inf["sweeps"] + 1):
+        sweep(state, rng)
+        yield {
+            "sweep": s,
+            "K_alive_per_t": state.alive_boxes_per_time(),
+            "loglik": state.log_marginal_likelihood(),
+        }
+        if every and ckpt_path and s % every == 0:
+            with open(f"{ckpt_path}.sweep{s}.json", "w") as fh:
+                json.dump(dict(state.to_checkpoint(), sweep=s, rng_state=rng.bit_generator.state), fh)
 
 
 def cmd_mcmc(args) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.seed
-    inf = cfg.inference
-    if cfg.data is None:
-        raise ConfigError("mcmc needs a data section")
-    if cfg.model["type"] == "topic":
-        batches, _ = read_corpus(cfg.data["path"], cfg.data["vocab_path"])
-    else:
-        batches = read_observation_batches(cfg.data["path"])
-    rng = np.random.default_rng(seed)
+    batches = _read_batches(cfg, "mcmc")
+    rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
     state = build_sampler(cfg, [b.values for b in batches], rng)
-    ckpt_every = inf.get("checkpoint_every", 0)
-    ckpt_path = (cfg.output or {}).get("checkpoint_path")
-    out_path = args.out or (cfg.output or {}).get("path")
-    out = _open_out(out_path)
-    try:
-        for s in range(1, inf["sweeps"] + 1):
-            sweep(state, rng)
-            rec = {
-                "sweep": s,
-                "K_alive_per_t": state.alive_boxes_per_time(),
-                "loglik": state.log_marginal_likelihood(),
-            }
-            out.write(json.dumps(rec) + "\n")
-            if ckpt_every and ckpt_path and s % ckpt_every == 0:
-                ck = state.to_checkpoint()
-                ck["sweep"] = s
-                ck["rng_state"] = rng.bit_generator.state
-                with open(f"{ckpt_path}.sweep{s}.json", "w") as fh:
-                    json.dump(ck, fh)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    output = cfg.output or {}
+    records = _sweep_records(state, rng, cfg.inference, output.get("checkpoint_path"))
+    _write_jsonl(args.out or output.get("path"), records)
     return 0
 
 
 def cmd_correlation(args) -> int:
     rng = np.random.default_rng(args.seed)
-    out = _open_out(args.out)
-    writer = csv.writer(out)
-    writer.writerow(["tau", "correlation", "rho", "theta"])
-    try:
+    with _output(args.out) as out:
+        writer = csv.writer(out)
+        writer.writerow(["tau", "correlation", "rho", "theta"])
         for rho in args.rho:
             curve = mean_correlation_curve(
                 args.theta, rho, args.taus, args.n_mc, args.burn_in, rng,
@@ -215,9 +207,6 @@ def cmd_correlation(args) -> int:
             )
             for row in curve.csv_rows():
                 writer.writerow([row["tau"], f"{row['correlation']:.6f}", row["rho"], row["theta"]])
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -226,8 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="emit a synthetic observation stream")
-    g.add_argument("--preset", choices=sorted(datagen.DENSITY_PRESETS) + ["topic-synthetic"])
-    g.add_argument("--stream-config", help="custom density stream config (JSON)")
+    source = g.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", choices=sorted(datagen.DENSITY_PRESETS) + ["topic-synthetic"])
+    source.add_argument("--stream-config", help="custom density stream config (JSON)")
     g.add_argument("--seed", type=_NON_NEGATIVE_INT, required=True)
     g.add_argument("--out", default="-")
     g.add_argument("--vocab-out", help="vocabulary file for topic-synthetic")

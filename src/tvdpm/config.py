@@ -29,6 +29,7 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "load_config",
+    "check_schema",
     "build_policy",
     "build_model",
     "build_filter_config",
@@ -40,9 +41,20 @@ class ConfigError(ValueError):
     """Configuration rejected by the schema or by semantic checks."""
 
 
-def _schema() -> dict:
-    text = resources.files("tvdpm.schemas").joinpath("experiment.schema.json").read_text()
-    return json.loads(text)
+def check_schema(instance, what: str, definition: str | None = None) -> None:
+    """Check `instance` against the shipped schema, or against one of its
+    definitions; a failure is a ConfigError naming `what` and where."""
+    import jsonschema  # imported here: only commands that read JSON input need it
+
+    schema = json.loads(resources.files("tvdpm.schemas").joinpath("experiment.schema.json").read_text())
+    if definition is not None:
+        schema = {"definitions": schema["definitions"], "$ref": f"#/definitions/{definition}"}
+    try:
+        jsonschema.validate(instance, schema)
+    except jsonschema.ValidationError as exc:
+        where = ".".join(map(str, exc.absolute_path))
+        at = f" (at {where})" if where else ""
+        raise ConfigError(f"{what} rejected: {exc.message}{at}") from exc
 
 
 @dataclass(frozen=True)
@@ -55,10 +67,6 @@ class ExperimentConfig:
     data: dict | None = None
     output: dict | None = None
 
-    @property
-    def method(self) -> str:
-        return self.inference["method"]
-
 
 def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
@@ -67,21 +75,8 @@ def load_config(path) -> ExperimentConfig:
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
-    import jsonschema  # imported here: only commands that read a config need it
-
-    try:
-        jsonschema.validate(raw, _schema())
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config rejected: {exc.message}") from exc
-    return ExperimentConfig(
-        seed=raw["seed"],
-        theta=raw["theta"],
-        model=raw["model"],
-        policy=raw["policy"],
-        inference=raw["inference"],
-        data=raw.get("data"),
-        output=raw.get("output"),
-    )
+    check_schema(raw, "config")
+    return ExperimentConfig(**raw)  # the schema admits exactly the fields
 
 
 def build_policy(spec: dict):

@@ -8,15 +8,12 @@ mixture alongside every batch so downstream scoring needs no side channel.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .models import DataError, normal_logpdf
 
 __all__ = [
     "DENSITY_PRESETS",
-    "density_stream_config",
     "gen_density_data",
     "mixture_density",
     "gen_topic_corpus",
@@ -96,16 +93,6 @@ DENSITY_PRESETS: dict[str, dict] = {
         ],
     },
 }
-
-
-def density_stream_config(preset: str | None = None, config: dict | None = None) -> dict:
-    if preset is not None:
-        if preset not in DENSITY_PRESETS:
-            raise ValueError(f"unknown preset {preset!r}; have {sorted(DENSITY_PRESETS)}")
-        return DENSITY_PRESETS[preset]
-    if config is None:
-        raise ValueError("need a preset name or an explicit config")
-    return config
 
 
 def _components_at(cfg: dict, t: int) -> list[dict]:
@@ -214,8 +201,3 @@ def gen_topic_corpus(cfg: dict, rng: np.random.Generator):
     vocab = [f"w{idx:03d}" for idx in range(K)]
     return records, vocab, topics
 
-
-def write_jsonl(records, path) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")

@@ -7,8 +7,10 @@ import sys
 import pytest
 
 import tvdpm
+import tvdpm.cli
 from tvdpm.cli import main
-from tvdpm.config import ConfigError, build_policy, load_config, validate_config
+from tvdpm.config import ConfigError, build_policy, check_schema, load_config, validate_config
+from tvdpm.datagen import DENSITY_PRESETS
 from tvdpm.urn import MixturePolicy, SlidingWindow, UniformDeletion
 
 GOOD_CONFIG = {
@@ -35,7 +37,7 @@ class TestConfig:
         p = tmp_path / "c.json"
         p.write_text(json.dumps(GOOD_CONFIG))
         cfg = load_config(p)
-        assert cfg.seed == 7 and cfg.method == "smc"
+        assert cfg.seed == 7 and cfg.inference["method"] == "smc"
 
     def test_unknown_key_rejected(self):
         bad = dict(GOOD_CONFIG, extra_key=1)
@@ -56,6 +58,10 @@ class TestConfig:
         cfg = validate_config(bad)
         with pytest.raises(ConfigError):
             build_filter_config(cfg)
+
+    @pytest.mark.parametrize("preset", sorted(DENSITY_PRESETS))
+    def test_density_presets_fit_the_stream_schema(self, preset):
+        check_schema(DENSITY_PRESETS[preset], "stream config", "stream")
 
     def test_build_policy(self):
         pol = build_policy(GOOD_CONFIG["policy"])
@@ -176,6 +182,96 @@ class TestCli:
         assert code == 2
         assert err.startswith("error: ") and named in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config,named",
+        [
+            ({"segments": []}, "'T' is a required property"),
+            (
+                {"T": 2, "segments": [{"start": 1, "end": 2, "components": [{"w": 1.0, "mu": 0.0}]}]},
+                "'sigma' is a required property (at segments.0.components.0)",
+            ),
+            (
+                {"T": 2, "segments": [{"start": 1, "end": 2, "components": [{"w": 1.0, "mu": "a", "sigma": 1.0}]}]},
+                "(at segments.0.components.0.mu)",
+            ),
+            ({"T": 2, "segments": [], "n_steps": 2}, "'n_steps' was unexpected"),
+        ],
+        ids=["no-T", "no-sigma", "mu-text", "unknown-key"],
+    )
+    def test_gen_data_stream_config_schema(self, tmp_path, config, named):
+        # a missing T or sigma was a KeyError and text a ValueError, with exit 1
+        cfg_path = tmp_path / "stream.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "o.jsonl"
+        code, _, err = run_cli(
+            ["gen-data", "--stream-config", str(cfg_path), "--seed", "1", "--out", str(out)]
+        )
+        assert code == 2
+        assert err.startswith("error: stream config rejected: ") and named in err
+        assert not out.exists()
+
+    def test_gen_data_stream_config_equals_preset(self, tmp_path):
+        cfg_path = tmp_path / "stream.json"
+        cfg_path.write_text(json.dumps(DENSITY_PRESETS["paper-4.1-scaled"]))
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        assert run_cli(["gen-data", "--stream-config", str(cfg_path), "--seed", "4", "--out", str(a)])[0] == 0
+        assert run_cli(["gen-data", "--preset", "paper-4.1-scaled", "--seed", "4", "--out", str(b)])[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "sources,named",
+        [
+            ([], "one of the arguments --preset --stream-config is required"),
+            (["--preset", "paper-4.1", "--stream-config", "s.json"], "not allowed with argument"),
+        ],
+        ids=["neither", "both"],
+    )
+    def test_gen_data_takes_exactly_one_source(self, tmp_path, sources, named):
+        # neither was a TypeError with exit 1; with both the preset won
+        (tmp_path / "s.json").write_text(json.dumps(DENSITY_PRESETS["paper-4.1-scaled"]))
+        out = tmp_path / "o.jsonl"
+        code, _, err = run_cli(
+            ["gen-data", *[str(tmp_path / a) if a == "s.json" else a for a in sources],
+             "--seed", "1", "--out", str(out)]
+        )
+        assert code == 2 and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        ["gen-data-density", "gen-data-topic", "simulate", "smc", "mcmc", "correlation", "validate"],
+    )
+    def test_out_dash_is_stdout(self, tmp_path, monkeypatch, command):
+        # `--out -` of gen-data's topic preset and of validate wrote a file
+        # named "-"; the suite itself is stubbed, only its output is at issue
+        report = {"passed": True, "checks": [
+            {"name": "stub", "passed": True, "value": 0.5, "threshold": 0.01, "kind": "pvalue"}
+        ]}
+        monkeypatch.setattr(tvdpm.cli, "run_validation_suite", lambda seed, quick: report)
+        monkeypatch.chdir(tmp_path)
+        if command == "smc":
+            args = write_stream(tmp_path, [{"t": 1, "values": [0.1, 2.0]}, {"t": 2, "values": [0.3]}])[:-2]
+        elif command == "mcmc":
+            args = write_corpus(tmp_path, [{"t": 1, "words": [0, 3]}, {"t": 2, "words": [1, 1]}])[:-2]
+        else:
+            args = {
+                "gen-data-density": ["gen-data", "--preset", "paper-4.1-scaled", "--seed", "2"],
+                "gen-data-topic": ["gen-data", "--preset", "topic-synthetic", "--seed", "2",
+                                   "--vocab-out", str(tmp_path / "vocab.txt")],
+                "simulate": ["simulate", "--theta", "1.5", "--policy", '{"type":"sliding_window","r":2}',
+                             "--n", "3", "--steps", "6", "--seed", "2"],
+                "correlation": ["correlation", "--theta", "2", "--rho", "0.5", "--taus", "0,1",
+                                "--n-mc", "50", "--burn-in", "5", "--seed", "2"],
+                "validate": ["validate", "--quick"],
+            }[command]
+        path = tmp_path / "out.txt"
+        code, console, _ = run_cli(args + ["--out", str(path)])
+        assert code == 0 and path.stat().st_size > 0
+        code, piped, _ = run_cli(args + ["--out", "-"])
+        assert code == 0
+        assert piped.encode() == console.encode() + path.read_bytes()
+        assert not (tmp_path / "-").exists()
 
     def test_gen_data_topic(self, tmp_path):
         data = tmp_path / "corpus.jsonl"
@@ -519,6 +615,43 @@ class TestBadData:
         assert code == 2
         assert err.startswith("error: ") and f"[{word!r}]" in err and "t=2" in err
 
+    @pytest.mark.parametrize("command", ["smc", "mcmc"])
+    @pytest.mark.parametrize(
+        "vocab_size,named",
+        [(2, "has 4 words but model.vocab_size is 2"), (6, "has 4 words but model.vocab_size is 6"),
+         (None, "a topic model needs data.vocab_path")],
+        ids=["vocab-size-small", "vocab-size-large", "no-vocab-path"],
+    )
+    def test_topic_vocabulary_checked(self, tmp_path, command, vocab_size, named):
+        # too small a vocab_size ended mcmc in an IndexError, too large ran
+        # with a prior over words that do not exist; no vocab_path was a KeyError
+        args = write_corpus(tmp_path, [{"t": 1, "words": [0, 1]}, {"t": 2, "words": [1, 1]}])
+        cfg_path = pathlib.Path(args[2])
+        cfg = json.loads(cfg_path.read_text())
+        if vocab_size is None:
+            del cfg["data"]["vocab_path"]
+        else:
+            cfg["model"]["vocab_size"] = vocab_size
+        if command == "smc":
+            cfg["inference"] = {"method": "smc", "n_particles": 5}
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = run_cli([command] + args[1:])
+        assert code == 2
+        assert err.startswith("error: ") and named in err
+        assert not (tmp_path / "o.jsonl").exists()
+
+    def test_burn_in_key_rejected(self, tmp_path):
+        # no sampler ever applied inference.burn_in: the key is gone from the schema
+        args = write_corpus(tmp_path, [{"t": 1, "words": [0, 1]}])
+        cfg_path = pathlib.Path(args[2])
+        cfg = json.loads(cfg_path.read_text())
+        cfg["inference"]["burn_in"] = 0
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(args)
+        assert code == 2
+        assert err.startswith("error: config rejected: ") and "'burn_in' was unexpected" in err
+        assert not (tmp_path / "o.jsonl").exists()
+
     def test_word_ids_outside_vocabulary(self, tmp_path):
         args = write_corpus(tmp_path, [{"t": 1, "words": [0, 3]}, {"t": 2, "words": [9, 4]}])
         code, _, err = run_cli(args)
@@ -526,20 +659,27 @@ class TestBadData:
         assert err.startswith("error: ") and "[9, 4]" in err and "t=2" in err
 
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    """Run scripts/`name` in a fresh interpreter that imports this
+    checkout's tvdpm."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
+        capture_output=True, text=True, env=env,
+    )
+
+
 class TestTopicDriver:
     """scripts/run_topic_experiment.py builds its sampler from an mcmc config."""
 
-    ROOT = pathlib.Path(__file__).resolve().parents[1]
-
     def run_driver(self, *args):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(self.ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        return subprocess.run(
-            [sys.executable, str(self.ROOT / "scripts" / "run_topic_experiment.py"), *args],
-            capture_output=True, text=True, env=env,
-        )
+        return run_script("run_topic_experiment.py", *args)
 
     def test_three_sweeps_from_shipped_config(self, tmp_path):
         proc = self.run_driver("--sweeps", "3", "--seed", "5", "--out-dir", str(tmp_path))
@@ -554,3 +694,22 @@ class TestTopicDriver:
         cfg.write_text(json.dumps(GOOD_CONFIG))
         proc = self.run_driver("--config", str(cfg), "--sweeps", "1", "--out-dir", str(tmp_path))
         assert proc.returncode == 2 and "topic model" in proc.stderr
+
+
+class TestDensityDriver:
+    """scripts/run_density_experiment.py filters a preset stream with an smc config."""
+
+    def test_shipped_config_with_few_particles(self, tmp_path):
+        cfg = json.loads((ROOT / "examples_config" / "smc_density.json").read_text())
+        cfg["inference"]["n_particles"] = 20
+        cfg_path = tmp_path / "smc.json"
+        cfg_path.write_text(json.dumps(cfg))
+        proc = run_script("run_density_experiment.py", "--config", cfg_path, "--out-dir", tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        curve = (tmp_path / "alive_mass_paper-4.1-scaled.csv").read_text().splitlines()
+        assert curve[0] == "t,N_alive,rho_post,ess,l1_to_truth"
+        assert [row.split(",")[0] for row in curve[1:]] == [str(t) for t in range(1, 301)]
+        snaps = (tmp_path / "density_snapshots_paper-4.1-scaled.csv").read_text().splitlines()
+        assert snaps[0] == "t,x,f_true,f_est"
+        points = cfg["inference"]["grid"]["points"]
+        assert len(snaps) == 1 + 6 * points  # t = 50, 100, ..., 300

@@ -6,24 +6,14 @@ import pytest
 from tvdpm.datagen import (
     DENSITY_PRESETS,
     TOPIC_PRESET,
-    density_stream_config,
     gen_density_data,
     gen_topic_corpus,
     mixture_density,
-    write_jsonl,
 )
 from tvdpm.models import DataError
 
 
 class TestDensityStream:
-    def test_preset_lookup(self):
-        cfg = density_stream_config(preset="paper-4.1")
-        assert cfg["T"] == 1000
-        with pytest.raises(ValueError):
-            density_stream_config(preset="nope")
-        with pytest.raises(ValueError):
-            density_stream_config()
-
     def test_paper_timeline(self, rng):
         cfg = DENSITY_PRESETS["paper-4.1"]
         recs = list(gen_density_data(cfg, rng))
@@ -112,8 +102,3 @@ class TestTopicCorpus:
         with pytest.raises(ValueError):
             gen_topic_corpus(cfg, rng)
 
-
-def test_write_jsonl(tmp_path):
-    path = tmp_path / "x.jsonl"
-    write_jsonl([{"a": 1}, {"b": 2}], path)
-    assert path.read_text() == '{"a": 1}\n{"b": 2}\n'
