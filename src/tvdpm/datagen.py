@@ -200,4 +200,3 @@ def gen_topic_corpus(cfg: dict, rng: np.random.Generator):
         records.append({"t": t, "words": words})
     vocab = [f"w{idx:03d}" for idx in range(K)]
     return records, vocab, topics
-

@@ -101,4 +101,3 @@ class TestTopicCorpus:
         cfg = dict(TOPIC_PRESET, K=10, n_topics=3, within_topic_words=4)
         with pytest.raises(ValueError):
             gen_topic_corpus(cfg, rng)
-
