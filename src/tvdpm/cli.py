@@ -3,7 +3,8 @@
 Subcommands: gen-data (synthetic streams), simulate (urn trajectories),
 validate (statistical suite), smc / mcmc (inference runs), correlation
 (decay-curve CSV).  Every run is a pure function of its configuration and
-seed.  Exit codes: 0 ok, 1 validation/run failure, 2 usage or data error.
+seed.  Exit codes: 0 ok, 1 validation/run failure, 2 usage or data error,
+141 (128 + SIGPIPE) when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -117,10 +119,11 @@ def cmd_gen_data(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.preset == "topic-synthetic":
         records, vocab, _topics = datagen.gen_topic_corpus(datagen.TOPIC_PRESET, rng)
-        _write_jsonl(args.out, records)
+        # the vocabulary first: a reader that stops early still gets it
         if args.vocab_out:
             with open(args.vocab_out, "w") as fh:
                 fh.write("\n".join(vocab) + "\n")
+        _write_jsonl(args.out, records)
         return 0
     if args.preset is not None:
         cfg = datagen.DENSITY_PRESETS[args.preset]
@@ -148,6 +151,7 @@ def cmd_validate(args) -> int:
     if args.out:
         with _output(args.out) as out:
             json.dump(report, out, indent=2)
+            out.write("\n")
     return 0 if report["passed"] else 1
 
 
@@ -267,10 +271,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush inside the try, so a closed pipe is seen here and not at exit
+        sys.stdout.flush()
+        return code
     except (ConfigError, DataError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early: send what Python still flushes at
+        # exit to devnull, and exit as a process killed by SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

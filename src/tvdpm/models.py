@@ -4,8 +4,9 @@ Three mixed densities are shipped: a Gaussian with NormalInverseGamma base
 (locations are (mean, variance) pairs), a known-variance Gaussian whose
 base is either a Normal prior or a finite atomic measure, and a multinomial
 word model with symmetric Dirichlet base.  Each model exposes the same
-surface: pointwise log-likelihood, exact conjugate posterior sampling, and
-the collapsed predictive used by the Gibbs sampler, plus an incremental
+surface: pointwise log-likelihood (at one location, or at m stacked ones
+in one call), exact conjugate posterior sampling, and the collapsed
+predictive used by the Gibbs sampler, plus an incremental
 sufficient-statistics API so samplers can add/remove single observations in
 O(1).
 """
@@ -67,8 +68,9 @@ def normal_logpdf(x, mean, var):
     return -0.5 * (_LOG_2PI + np.log(var)) - (x - mean) ** 2 / (2.0 * var)
 
 
-def _norm_logpdf(x: float, mean: float, var: float) -> float:
-    # scalar fast path for sampler inner loops
+def _norm_logpdf(x: float, mean, var: float):
+    # fast path for sampler inner loops: var is a float, mean a float or an
+    # array (each entry then the float a float mean would give)
     return -0.5 * (_LOG_2PI + math.log(var)) - (x - mean) ** 2 / (2.0 * var)
 
 
@@ -172,7 +174,11 @@ class GaussianModel:
             - 0.5 * stats[0] * _LOG_2PI
         )
 
-    def log_likelihood(self, z, u) -> float:
+    def log_likelihood(self, z, u):
+        """log N(z; mean, var) at u = (mean, var), or one value per row of
+        an (m, 2) array of stacked locations."""
+        if isinstance(u, np.ndarray):
+            return normal_logpdf(z, u[:, 0], u[:, 1])
         mean, var = u
         return _norm_logpdf(z, mean, var)
 
@@ -239,7 +245,9 @@ class KnownVarGaussianModel:
             stats[1] -= z
             stats[2] -= z * z
 
-    def log_likelihood(self, z, u) -> float:
+    def log_likelihood(self, z, u):
+        """log N(z; u, obs_var) at a float mean u, or one value per entry of
+        an (m,) array of means (the same floats as m float calls)."""
         return _norm_logpdf(z, u, self._obs_var)
 
     def _posterior_mean_var(self, stats):
@@ -320,7 +328,12 @@ class TopicModel:
         stats[0][w] -= 1
         stats[1] -= 1
 
-    def log_likelihood(self, w, y) -> float:
+    def log_likelihood(self, w, y):
+        """log y[w] for a topic vector y (-inf where the word has probability
+        zero), or one value per row of an (m, K) array of stacked vectors."""
+        if y.ndim == 2:
+            with np.errstate(divide="ignore"):
+                return np.log(y[:, w])
         p = y[w]
         if p <= 0.0:
             return NEG_INF

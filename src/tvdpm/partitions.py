@@ -19,6 +19,7 @@ __all__ = [
     "esf_log_prob",
     "sample_categorical",
     "sample_log_categorical",
+    "sample_log_categorical_rows",
 ]
 
 MAX_ENUMERATION_N = 25
@@ -75,10 +76,11 @@ def esf_log_prob(a: CountsVector, theta: float) -> float:
 
 
 def _inverse_cdf(weights: Sequence[float], total: float, rng: np.random.Generator) -> int:
-    """Every categorical draw in the package goes through here: one uniform
-    per draw, scaled by `total` (the sum of the weights) and scanned against
-    the running sum with an early exit.  If rounding leaves the uniform at or
-    past the total, the last index is returned."""
+    """Every categorical draw in the package goes through here or through
+    its array form `_inverse_cdf_rows`: one uniform per draw, scaled by
+    `total` (the sum of the weights) and scanned against the running sum
+    with an early exit.  If rounding leaves the uniform at or past the
+    total, the last index is returned."""
     u = rng.random() * total
     acc = 0.0
     for i, w in enumerate(weights):
@@ -86,6 +88,19 @@ def _inverse_cdf(weights: Sequence[float], total: float, rng: np.random.Generato
         if u < acc:
             return i
     return len(weights) - 1
+
+
+def _inverse_cdf_rows(weights: np.ndarray, rngs: Sequence[np.random.Generator]):
+    """`_inverse_cdf` on each row of an (R, C) weight matrix, row r drawing
+    its one uniform from rngs[r].  The row cumsum adds left to right as the
+    scalar loop does, and a zero weight leaves it unchanged, so the pick (the
+    first index whose running sum exceeds the uniform, else the last index)
+    and the row total are the scalar draw's.  Returns (picks, totals)."""
+    acc = np.cumsum(weights, axis=1)
+    total = acc[:, -1]
+    u = np.fromiter((rng.random() for rng in rngs), dtype=float, count=len(total)) * total
+    picks = np.count_nonzero(~(u[:, None] < acc), axis=1)
+    return np.minimum(picks, weights.shape[1] - 1), total
 
 
 def sample_categorical(weights: Sequence[float], rng: np.random.Generator) -> int:
@@ -103,6 +118,19 @@ def sample_log_categorical(log_scores: Sequence[float], rng: np.random.Generator
     weights = [math.exp(s - top) for s in log_scores]
     total = sum(weights)
     return _inverse_cdf(weights, total, rng), top + math.log(total)
+
+
+def sample_log_categorical_rows(log_scores: np.ndarray, rngs: Sequence[np.random.Generator]):
+    """`sample_log_categorical` on each row of an (R, C) matrix of log-scores,
+    row r drawing from rngs[r].  A -inf cell (padding) has weight zero and is
+    never picked, unless its whole row is -inf: that row's normaliser is nan
+    and its pick the last index, as in the scalar draw.  Returns the (R,)
+    picks and log-normalisers."""
+    top = log_scores.max(axis=1)
+    with np.errstate(invalid="ignore"):
+        weights = np.exp(log_scores - top[:, None])
+    picks, total = _inverse_cdf_rows(weights, rngs)
+    return picks, top + np.log(total)
 
 
 def enumerate_partitions(n: int) -> list[CountsVector]:

@@ -273,6 +273,42 @@ class TestCli:
         assert piped.encode() == console.encode() + path.read_bytes()
         assert not (tmp_path / "-").exists()
 
+    @pytest.mark.parametrize("command", ["gen-data-topic", "simulate"])
+    def test_closed_stdout_exits_141(self, tmp_path, command):
+        # the reader closes the pipe before the first byte; before, a
+        # BrokenPipeError traceback, exit 1, and no vocabulary file
+        vocab = tmp_path / "vocab.txt"
+        args = {
+            "gen-data-topic": ["gen-data", "--preset", "topic-synthetic", "--seed", "5",
+                               "--vocab-out", str(vocab)],
+            "simulate": ["simulate", "--theta", "1.5", "--policy", POLICY, "--n", "5",
+                         "--steps", "20000", "--seed", "1"],
+        }[command]
+        src = str(pathlib.Path(tvdpm.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tvdpm.cli", *args],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 141
+        assert err == b""
+        if command == "gen-data-topic":
+            assert len(vocab.read_text().splitlines()) == 20
+
+    def test_validate_report_ends_with_newline(self, tmp_path, monkeypatch):
+        report = {"passed": True, "checks": [
+            {"name": "stub", "passed": True, "value": 0.5, "threshold": 0.01, "kind": "pvalue"}
+        ]}
+        monkeypatch.setattr(tvdpm.cli, "run_validation_suite", lambda seed, quick: report)
+        path = tmp_path / "report.json"
+        code, _, _ = run_cli(["validate", "--quick", "--out", str(path)])
+        assert code == 0
+        text = path.read_text()
+        assert text.endswith("}\n") and json.loads(text) == report
+
     def test_gen_data_topic(self, tmp_path):
         data = tmp_path / "corpus.jsonl"
         vocab = tmp_path / "vocab.txt"

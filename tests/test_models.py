@@ -341,6 +341,36 @@ class TestLogMarginal:
             assert model.predictive_logp(stats, w) == old
 
 
+def _stacked_locations(name, gen, m=60):
+    """(model, m locations as floats/tuples/vectors, the same stacked, observations)."""
+    if name == "nig":
+        locs = [(float(mu), float(v)) for mu, v in zip(gen.normal(0, 3, m), gen.gamma(2.0, 1.5, m))]
+        return GaussianModel(NIG), locs, np.array(locs), gen.normal(0, 4, 8).tolist()
+    if name in ("known-var", "atomic"):
+        base = GaussianKnownVar(0.0, 2.0) if name == "known-var" else FiniteAtomic((-2.0, 0.0, 2.0))
+        locs = gen.normal(0, 3, m).tolist()
+        return KnownVarGaussianModel(base, 0.7), locs, np.array(locs), gen.normal(0, 4, 8).tolist()
+    K = 6
+    stacked = gen.dirichlet(np.full(K, 0.5), size=m)
+    stacked[3, 2] = 0.0  # a word the topic never emits
+    return TopicModel(SymmetricDirichlet(2.0, K)), list(stacked), stacked, list(range(K))
+
+
+class TestStackedLogLikelihood:
+    """`log_likelihood(z, U)` on m stacked locations against m float calls."""
+
+    @pytest.mark.parametrize("name", ["nig", "known-var", "atomic", "topic"])
+    def test_equals_float_calls(self, name):
+        model, locs, stacked, observations = _stacked_locations(name, np.random.default_rng(41))
+        for z in observations:
+            got = model.log_likelihood(z, stacked)
+            assert got.shape == (len(locs),)
+            want = [model.log_likelihood(z, u) for u in locs]
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+        if name == "topic":
+            assert model.log_likelihood(2, stacked)[3] == -math.inf == model.log_likelihood(2, locs[3])
+
+
 class TestReaders:
     def test_observation_batches(self, tmp_path):
         p = tmp_path / "data.jsonl"

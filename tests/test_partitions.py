@@ -12,6 +12,7 @@ from tvdpm.partitions import (
     esf_log_prob,
     sample_categorical,
     sample_log_categorical,
+    sample_log_categorical_rows,
 )
 
 from .oracles import (
@@ -206,3 +207,68 @@ class TestCategorical:
             i, log_norm = sample_log_categorical(scores, a)
             assert i == inline_categorical(probs, b)
             assert log_norm == pytest.approx(float(logsumexp(scores)), rel=1e-15, abs=0)
+
+
+class _Fixed:
+    """A generator stand-in whose uniform is fixed."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+class TestCategoricalRows:
+    """`sample_log_categorical_rows` against `sample_log_categorical` row by
+    row: each row holds a scalar draw's scores at increasing columns, its
+    last score in the last column, and -inf padding elsewhere."""
+
+    @staticmethod
+    def _padded(rows, width, gen):
+        matrix = np.full((len(rows), width), -math.inf)
+        columns = []
+        for r, scores in enumerate(rows):
+            cols = sorted(gen.choice(width - 1, size=len(scores) - 1, replace=False).tolist()) + [width - 1]
+            matrix[r, cols] = scores
+            columns.append(cols)
+        return matrix, columns
+
+    def test_rows_equal_scalar_draws(self):
+        gen = np.random.default_rng(17)
+        width = 12
+        rows = [[-3.0], [0.5, -math.inf, 2.0], [-math.inf, 1.0]]  # new box only; zero-weight cells
+        for _ in range(60):
+            scores = gen.normal(-20.0, 4.0, size=int(gen.integers(1, width + 1)))
+            scores[gen.random(len(scores)) < 0.1] = -math.inf
+            scores[-1] = gen.normal(-20.0, 4.0)
+            rows.append(scores.tolist())
+        matrix, columns = self._padded(rows, width, gen)
+        seeds = range(100, 100 + len(rows))
+        fast = [np.random.default_rng(s) for s in seeds]
+        slow = [np.random.default_rng(s) for s in seeds]
+        for _ in range(30):
+            picks, log_norms = sample_log_categorical_rows(matrix, fast)
+            for r, (scores, cols, rng) in enumerate(zip(rows, columns, slow)):
+                i, log_norm = sample_log_categorical(scores, rng)
+                assert picks[r] == cols[i]
+                assert log_norms[r] == pytest.approx(log_norm, rel=1e-15, abs=0)
+        assert [a.bit_generator.state for a in fast] == [b.bit_generator.state for b in slow]
+
+    def test_uniform_at_the_rounding_edge_takes_the_last_index(self):
+        # 1 - 2**-53 times a total of 1 + 2**-52 rounds to 1.0, which is not
+        # below the first running sum: the last index wins in both forms
+        u = 1.0 - 2.0**-53
+        scores = [0.0, math.log(2.0**-52)]
+        matrix = np.array([[0.0, -math.inf, math.log(2.0**-52)]])
+        assert sample_log_categorical(scores, _Fixed(u))[0] == 1
+        picks, _ = sample_log_categorical_rows(matrix, [_Fixed(u)])
+        assert picks.tolist() == [2]
+
+    def test_row_of_nothing_takes_the_last_index(self):
+        # every cell -inf: the normaliser is nan and the pick the last
+        # index, in both forms
+        i, log_norm = sample_log_categorical([-math.inf, -math.inf], _Fixed(0.5))
+        picks, log_norms = sample_log_categorical_rows(np.full((1, 4), -math.inf), [_Fixed(0.5)])
+        assert (i, picks.tolist()) == (1, [3])
+        assert math.isnan(log_norm) and math.isnan(log_norms[0])

@@ -1,11 +1,14 @@
 import copy
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 import tvdpm.smc
+from tvdpm.config import build_filter_config, build_model, validate_config
+from tvdpm.datagen import DENSITY_PRESETS, gen_density_data
 from tvdpm.kernels import (
     FiniteAtomic,
     GaussianAR1,
@@ -152,6 +155,18 @@ class TestRhoWalk:
         centered = (draws - draws.mean()) ** 2
         se_var = centered.std() / math.sqrt(len(draws))
         assert abs(sample_var - target) < 3 * se_var
+
+    def test_array_form_equals_float_calls(self):
+        # entry i steps with generator i, clamped at both ends as a float is
+        walk = RhoWalk(a_rho=50.0, rho0=0.5)
+        rhos = np.array([1e-9, 0.3, 0.5, 0.9, 1.0 - 1e-9, 0.999999])
+        fast = [np.random.default_rng(s) for s in range(len(rhos))]
+        slow = [np.random.default_rng(s) for s in range(len(rhos))]
+        for _ in range(50):
+            got = walk.sample(rhos, fast)
+            assert got == [walk.sample(float(r), g) for r, g in zip(rhos, slow)]
+            rhos = np.array(got)
+        assert [g.bit_generator.state for g in fast] == [g.bit_generator.state for g in slow]
 
     def test_resolve_policy_substitutes(self):
         # the walk value passed at apply time acts as the leaf's fixed rho
@@ -443,6 +458,20 @@ def _gaussian_batches(seed, steps=24, n=3):
     return [ObservationBatch(t, tuple(float(z) for z in row)) for t, row in enumerate(data, 1)]
 
 
+def _shipped_stream(steps):
+    """The first `steps` batches of criterion 6's stream (paper-4.1-scaled,
+    data seed 1000)."""
+    records = gen_density_data(DENSITY_PRESETS["paper-4.1-scaled"], np.random.default_rng(1000))
+    return [ObservationBatch(r["t"], tuple(r["values"])) for r in records[:steps]]
+
+
+def _shipped_config(**changes):
+    """The shipped smc density config, with `changes` to its inference section."""
+    raw = json.loads((pathlib.Path(__file__).resolve().parents[1] / "examples_config" / "smc_density.json").read_text())
+    raw["inference"] = dict(raw["inference"], **changes)
+    return validate_config(raw)
+
+
 # name -> (model, kernel, config, batches): every filter setup the fast step
 # must reproduce exactly
 _STEP_SETUPS = {
@@ -479,6 +508,17 @@ _STEP_SETUPS = {
         FilterConfig(n_particles=30, theta=1.0, policy=SizeBiasedDeletion(2)),
         _gaussian_batches(14),
     ),
+    "nig-shipped-shape": lambda: (
+        GaussianModel(NIG),
+        StaticKernel(),
+        FilterConfig(
+            n_particles=200,
+            theta=3.0,
+            policy=MixturePolicy(0.98, UniformDeletion(None), SizeBiasedDeletion()),
+            rho_walk=RhoWalk(1000.0, 0.9),
+        ),
+        _shipped_stream(40),
+    ),
     "topic-prior": lambda: (
         TopicModel(SymmetricDirichlet(2.0, 6)),
         StaticKernel(),
@@ -511,7 +551,52 @@ class TestFastStepAgainstReference:
             resampled += info["resampled"]
         assert resampled > 0
 
-    @pytest.mark.parametrize("setup", ["nig-walk-size-biased", "known-var-ar1-conjugate"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_steps_from_empty_urns(self, n, monkeypatch):
+        # every urn is empty when both steps allocate (B = 0): at the start,
+        # and after a deletion that kills every unit; no box is scored
+        def unscored(z, u):
+            raise AssertionError("a box was scored with no box alive")
+
+        model = GaussianModel(NIG)
+        cfg = FilterConfig(n_particles=40, theta=2.0, policy=UniformDeletion(0.0))
+        fast = init_particles(cfg, np.random.default_rng(8))
+        ref = copy.deepcopy(fast)
+        for batch in _gaussian_batches(16, steps=2, n=n):
+            with monkeypatch.context() as patch:
+                patch.setattr(model, "log_likelihood", unscored)
+                info = advance(fast, batch, model, StaticKernel(), cfg)
+            want = reference_advance(ref, batch, model, StaticKernel(), cfg)
+            assert (info["t"], info["resampled"]) == (want["t"], want["resampled"])
+            assert info["ess"] == pytest.approx(want["ess"], rel=1e-12, abs=0)
+            _assert_same_population(fast, ref)
+            assert all(p.urn.total_mass == n for p in fast.particles)
+
+    def test_run_filter_equals_reference_on_shipped_stream(self, monkeypatch):
+        # the shipped config at N = 100 on a 30-step prefix of its stream,
+        # once as it ships and once with every step taken by the oracle
+        cfg = _shipped_config(n_particles=100)
+        model, fc = build_model(cfg.model), build_filter_config(cfg)
+        batches = _shipped_stream(30)
+
+        def records():
+            rng = np.random.default_rng(cfg.seed)
+            return [rec for rec, _pop in run_filter(batches, model, StaticKernel(), fc, rng)]
+
+        got = records()
+        monkeypatch.setattr(tvdpm.smc, "advance", reference_advance)
+        want = records()
+        assert [(r["t"], r["resampled"]) for r in got] == [(r["t"], r["resampled"]) for r in want]
+        assert sum(r["resampled"] for r in got) > 0
+        for a, b in zip(got, want, strict=True):
+            for key in ("ess", "n_alive", "rho_post"):
+                assert a[key] == pytest.approx(b[key], rel=1e-12, abs=0)
+            assert a["density"]["grid"] == b["density"]["grid"]
+            np.testing.assert_allclose(a["density"]["values"], b["density"]["values"], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "setup", ["nig-walk-size-biased", "known-var-ar1-conjugate", "nig-shipped-shape"]
+    )
     def test_density_equals_reference_after_resampling(self, setup):
         model, kernel, cfg, batches = _STEP_SETUPS[setup]()
         pop = init_particles(cfg, np.random.default_rng(6))
