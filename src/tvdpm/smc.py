@@ -1,8 +1,8 @@
 """Sequential Monte Carlo for the time-varying DPM.
 
-One step: step every particle's random-walk survival probability (when
-enabled); per particle, sample the deletion and move the surviving boxes'
-parameters by the kernel; then allocate the batch's observations one at a
+One step: per particle, step the random-walk survival probability (when
+enabled), sample the deletion and move the surviving boxes' parameters by
+the kernel; then allocate the batch's observations one at a
 time, all particles together, from the locally optimal proposal (Fearnhead
 2004): one (N, B+1) score matrix per observation, one row per particle,
 whose row log-normaliser less log(M + theta) is the observation's log
@@ -77,15 +77,7 @@ class RhoWalk:
         if not 0.0 < self.rho0 < 1.0:
             raise ValueError("rho0 must lie in (0, 1)")
 
-    def sample(self, rho_prev, rng):
-        """One step of the walk from rho_prev, drawn from rng.  Given an (N,)
-        array and N generators, entry i steps with rng[i] exactly as a float
-        call would, and the N new values come back as a list of floats."""
-        if isinstance(rho_prev, np.ndarray):
-            rho_prev = np.clip(rho_prev, _RHO_EPS, 1.0 - _RHO_EPS)
-            b = (self.a_rho * (1.0 - rho_prev) / rho_prev).tolist()
-            draws = [g.beta(self.a_rho, b_i) for g, b_i in zip(rng, b)]
-            return np.clip(draws, _RHO_EPS, 1.0 - _RHO_EPS).tolist()
+    def sample(self, rho_prev: float, rng: np.random.Generator) -> float:
         rho_prev = min(max(rho_prev, _RHO_EPS), 1.0 - _RHO_EPS)
         draw = rng.beta(self.a_rho, self.a_rho * (1.0 - rho_prev) / rho_prev)
         return min(max(draw, _RHO_EPS), 1.0 - _RHO_EPS)
@@ -207,10 +199,9 @@ def advance(
     {"t", "ess", "resampled"}.  Raises DegeneracyError if every particle's
     weight vanishes.
 
-    The rho walk steps every particle in one array call, each from its own
-    stream.  Per particle: the deletion, then, under a moving kernel, one
-    array transition of its surviving boxes' parameters (a static kernel
-    makes no transition calls).  Then all particles allocate together, one
+    Per particle: the rho walk and the deletion, then, under a moving
+    kernel, one array transition of its surviving boxes' parameters (a
+    static kernel makes no transition calls).  Then all particles allocate together, one
     observation at a time: row r of an (N, B+1) score matrix holds
     particle r's log mass plus log-likelihood for each surviving box,
     its collapsed predictive for each box opened earlier in the batch, and
@@ -223,12 +214,10 @@ def advance(
     if not static and not isinstance(model, KnownVarGaussianModel):
         raise ValueError("non-static kernels are supported for the known-variance model only")
     particles, rngs, R = population.particles, population.rngs, population.n
-    if config.rho_walk is not None:
-        rhos = config.rho_walk.sample(np.fromiter((p.rho for p in particles), float, count=R), rngs)
-        for particle, rho in zip(particles, rhos):
-            particle.rho = rho
     labels, masses, flat = [], [], []
     for particle, rng in zip(particles, rngs):
+        if config.rho_walk is not None:
+            particle.rho = config.rho_walk.sample(particle.rho, rng)
         urn = particle.urn = apply_policy(particle.urn, config.policy, rng, particle.rho)
         prev = particle.locations
         locations = {lab: prev[lab] for lab in urn.boxes}
@@ -353,15 +342,13 @@ def estimate_density(population: ParticlePopulation, grid: np.ndarray, model) ->
 
 def estimate_alive_mass(population: ParticlePopulation) -> float:
     """Posterior-mean total alive allocation mass."""
-    masses = np.fromiter((p.urn.total_mass for p in population.particles), float, count=population.n)
-    return float(population.weights() @ masses)
+    return float(sum(w * p.urn.total_mass for w, p in zip(population.weights(), population.particles)))
 
 
 def estimate_rho(population: ParticlePopulation) -> float:
     if population.particles[0].rho is None:
         raise ValueError("rho walk is not enabled")
-    rhos = np.fromiter((p.rho for p in population.particles), float, count=population.n)
-    return float(population.weights() @ rhos)
+    return float(sum(w * p.rho for w, p in zip(population.weights(), population.particles)))
 
 
 def run_filter(

@@ -156,18 +156,6 @@ class TestRhoWalk:
         se_var = centered.std() / math.sqrt(len(draws))
         assert abs(sample_var - target) < 3 * se_var
 
-    def test_array_form_equals_float_calls(self):
-        # entry i steps with generator i, clamped at both ends as a float is
-        walk = RhoWalk(a_rho=50.0, rho0=0.5)
-        rhos = np.array([1e-9, 0.3, 0.5, 0.9, 1.0 - 1e-9, 0.999999])
-        fast = [np.random.default_rng(s) for s in range(len(rhos))]
-        slow = [np.random.default_rng(s) for s in range(len(rhos))]
-        for _ in range(50):
-            got = walk.sample(rhos, fast)
-            assert got == [walk.sample(float(r), g) for r, g in zip(rhos, slow)]
-            rhos = np.array(got)
-        assert [g.bit_generator.state for g in fast] == [g.bit_generator.state for g in slow]
-
     def test_resolve_policy_substitutes(self):
         # the walk value passed at apply time acts as the leaf's fixed rho
         pol = MixturePolicy(0.98, UniformDeletion(None), SizeBiasedDeletion())
