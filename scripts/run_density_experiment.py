@@ -5,7 +5,8 @@ Generates a piecewise mixture stream (preset) and filters it online with
 the model, deletion policy, survival-probability random walk, particle
 count and density grid of an smc config file (by default the shipped
 examples_config/smc_density.json; its data section is not read).  Writes
-plot-ready CSVs: per-step alive mass / posterior rho, and density
+plot-ready CSVs: per-step alive mass / posterior rho (empty without a rho
+walk), and density
 snapshots (t, x, f_true, f_est) at selected times.
 
 Example:
@@ -66,8 +67,9 @@ def main():
             est = np.asarray(rec["density"]["values"])
             truth = mixture_density(grid, truths[t])
             l1 = float(np.trapezoid(np.abs(est - truth), grid))
-            curve.writerow([t, f"{rec['n_alive']:.3f}", f"{rec['rho_post']:.5f}",
-                            f"{rec['ess']:.1f}", f"{l1:.4f}"])
+            # a run without the rho walk has no posterior rho: its cell stays empty
+            rho = f"{rec['rho_post']:.5f}" if "rho_post" in rec else ""
+            curve.writerow([t, f"{rec['n_alive']:.3f}", rho, f"{rec['ess']:.1f}", f"{l1:.4f}"])
             if t % args.snapshot_every == 0 or t == len(batches):
                 for x, ft, fe in zip(grid, truth, est):
                     snaps.writerow([t, f"{x:.4f}", f"{ft:.6f}", f"{fe:.6f}"])

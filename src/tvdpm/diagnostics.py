@@ -27,7 +27,17 @@ import numpy as np
 from .ensemble import UrnEnsemble, batch_partition_distribution
 from .kernels import GaussianAR1, GaussianKnownVar, StaticKernel
 from .partitions import enumerate_partitions, esf_log_prob
-from .urn import DeletionPolicy, UniformDeletion, UrnState, allocate_batch, delete_uniform
+from .urn import (
+    ComposePolicy,
+    DeletionPolicy,
+    MixturePolicy,
+    SizeBiasedDeletion,
+    SlidingWindow,
+    UniformDeletion,
+    UrnState,
+    allocate_batch,
+    delete_uniform,
+)
 
 __all__ = [
     "esf_distribution",
@@ -202,13 +212,12 @@ def mean_correlation_curve(
     burn_in: int,
     rng: np.random.Generator,
     *,
-    n: int = 1,
     kernel_phi: float | None = None,
 ) -> CorrelationCurve:
     """Estimate corr(mean of G_t, mean of G_{t+tau}) over n_mc replicas of a
-    uniform-deletion urn with standard-normal base; locations move by the
-    stationary AR(1) kernel with coefficient kernel_phi when it is given,
-    otherwise stay fixed for life."""
+    uniform-deletion urn, one ball added per step, with standard-normal
+    base; locations move by the stationary AR(1) kernel with coefficient
+    kernel_phi when it is given, otherwise stay fixed for life."""
     taus = sorted(int(t) for t in taus)
     if taus and taus[0] < 0:
         raise ValueError("taus must be non-negative")
@@ -217,12 +226,12 @@ def mean_correlation_curve(
     kernel = StaticKernel() if kernel_phi is None else GaussianAR1(kernel_phi, GaussianKnownVar(0.0, 1.0))
     ens = UrnEnsemble(n_mc, theta, UniformDeletion(rho), kernel=kernel)
     for _ in range(burn_in):
-        ens.step(n, rng)
+        ens.step(1, rng)
     ref = ens.predictive_mean().copy()
     horizon = max(taus) if taus else 0
     later = {0: ref}
     for lag in range(1, horizon + 1):
-        ens.step(n, rng)
+        ens.step(1, rng)
         if lag in taus:
             later[lag] = ens.predictive_mean().copy()
     corrs = []
@@ -250,17 +259,16 @@ class KSReport:
 
 @dataclass(frozen=True)
 class BrokenNoiseKernel:
-    """AR(1) with deliberately mis-scaled noise: a negative control that must
-    fail the stationarity test."""
+    """AR(1) with its noise scale deliberately doubled: a negative control
+    that must fail the stationarity test."""
 
     phi: float
     base: GaussianKnownVar
-    noise_factor: float = 2.0
 
     def transition(self, u_prev, rng: np.random.Generator):
         size = u_prev.shape if isinstance(u_prev, np.ndarray) else None
         mu0 = self.base.mu0
-        scale = math.sqrt(1.0 - self.phi * self.phi) * self.base.sigma0 * self.noise_factor
+        scale = math.sqrt(1.0 - self.phi * self.phi) * self.base.sigma0 * 2.0
         u = self.phi * (u_prev - mu0) + mu0 + scale * rng.standard_normal(size)
         return u if size is not None else float(u)
 
@@ -402,8 +410,6 @@ def run_validation_suite(seed: int, quick: bool = False) -> dict:
     (and loosens the ESF tolerance accordingly) to fit an under-a-minute
     budget.
     """
-    from .urn import ComposePolicy, MixturePolicy, SizeBiasedDeletion, SlidingWindow
-
     rng = np.random.default_rng(seed)
     checks: list[dict] = []
 

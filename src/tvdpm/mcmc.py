@@ -337,8 +337,6 @@ def _loc_json(v):
 
 
 def _stats_close(a, b) -> bool:
-    if isinstance(a, np.ndarray):
-        return np.allclose(a, b)
     if isinstance(a, list) and len(a) == 2 and isinstance(a[0], np.ndarray):
         return np.array_equal(a[0], b[0]) and a[1] == b[1]
     return np.allclose(np.asarray(a, dtype=float), np.asarray(b, dtype=float))

@@ -8,7 +8,8 @@ surface: pointwise log-likelihood (at one location, or at m stacked ones
 in one call), exact conjugate posterior sampling, and the collapsed
 predictive used by the Gibbs sampler, plus an incremental
 sufficient-statistics API so samplers can add/remove single observations in
-O(1).
+O(1).  Every Gaussian model, whatever its base, keeps one statistic:
+[count, sum, sum of squares].
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .kernels import (
     NormalInverseGamma,
     SymmetricDirichlet,
 )
-from .partitions import sample_categorical
+from .partitions import sample_log_categorical
 
 __all__ = [
     "DataError",
@@ -123,17 +124,10 @@ def log_sum_exp_array(a: np.ndarray) -> float:
         return float(np.log1p(s) + np.log(count) + top)
 
 
-class GaussianModel:
-    """Gaussian mixed density with NormalInverseGamma base.
+class _GaussianStats:
+    """Sufficient statistics of scalar Gaussian observations: [count, sum,
+    sum of squares], one observation added or removed in O(1)."""
 
-    Cluster parameter u = (mean, variance); the collapsed predictive is a
-    located-scaled Student-t.
-    """
-
-    def __init__(self, base: NormalInverseGamma):
-        self.base = base
-
-    # sufficient statistics: [count, sum, sum of squares]
     def empty_stats(self):
         return [0, 0.0, 0.0]
 
@@ -146,6 +140,17 @@ class GaussianModel:
         stats[0] -= 1
         stats[1] -= z
         stats[2] -= z * z
+
+
+class GaussianModel(_GaussianStats):
+    """Gaussian mixed density with NormalInverseGamma base.
+
+    Cluster parameter u = (mean, variance); the collapsed predictive is a
+    located-scaled Student-t.
+    """
+
+    def __init__(self, base: NormalInverseGamma):
+        self.base = base
 
     def _posterior_params(self, stats):
         b = self.base
@@ -199,12 +204,19 @@ class GaussianModel:
         return np.exp(student_t_logpdf(grid, nu_n, mu_n, scale))
 
 
-class KnownVarGaussianModel:
+class KnownVarGaussianModel(_GaussianStats):
     """Gaussian likelihood with known observation variance.
 
     The base over the cluster mean is either GaussianKnownVar (conjugate
     normal-normal) or FiniteAtomic (exact discrete posterior); the latter is
-    what makes small state spaces exhaustively enumerable in tests.
+    what makes small state spaces exhaustively enumerable in tests.  Either
+    way a box keeps [count, sum, sum of squares], added to and removed from
+    in O(1).  Under the atomic base, atom a scores
+    log w_a + n (-a^2 / 2 sigma^2) + sum (a / sigma^2): the log of its
+    weight times the observations' likelihood at a, plus
+    n log(2 pi sigma^2) / 2 + (sum of squares) / 2 sigma^2.  That part is
+    the same for every atom, so it cancels in the posterior and the
+    predictive; only `log_marginal` takes it off.
     """
 
     def __init__(self, base, obs_sigma: float):
@@ -218,32 +230,11 @@ class KnownVarGaussianModel:
         self._atomic = isinstance(base, FiniteAtomic)
         if self._atomic:
             self._atoms = [float(a) for a in base.atoms]
-            self._log_w = [math.log(w) for w in base.weights]
-
-    # sufficient statistics: the log-likelihood of the observations at each
-    # atom (atomic base), else [count, sum, sum of squares]
-    def empty_stats(self):
-        if self._atomic:
-            return [0.0] * len(self._atoms)
-        return [0, 0.0, 0.0]
-
-    def stats_add(self, stats, z):
-        if self._atomic:
-            for i, a in enumerate(self._atoms):
-                stats[i] += _norm_logpdf(z, a, self._obs_var)
-        else:
-            stats[0] += 1
-            stats[1] += z
-            stats[2] += z * z
-
-    def stats_remove(self, stats, z):
-        if self._atomic:
-            for i, a in enumerate(self._atoms):
-                stats[i] -= _norm_logpdf(z, a, self._obs_var)
-        else:
-            stats[0] -= 1
-            stats[1] -= z
-            stats[2] -= z * z
+            # per atom: log w_a, -a^2 / 2 sigma^2 and a / sigma^2
+            self._atom_terms = [
+                (math.log(w), -a * a / (2.0 * self._obs_var), a / self._obs_var)
+                for a, w in zip(self._atoms, base.weights)
+            ]
 
     def log_likelihood(self, z, u):
         """log N(z; u, obs_var) at a float mean u, or one value per entry of
@@ -257,18 +248,21 @@ class KnownVarGaussianModel:
         mean = (b.mu0 / (b.sigma0 * b.sigma0) + s / self._obs_var) / prec
         return mean, 1.0 / prec
 
-    def _atom_log_posts(self, stats):
-        logp = [w + s for w, s in zip(self._log_w, stats)]
-        norm = _log_sum_exp(logp)
-        return [x - norm for x in logp]
+    def _atom_scores(self, stats):
+        n, s = stats[0], stats[1]
+        return [lw + n * sq + s * lin for lw, sq, lin in self._atom_terms]
 
     def log_marginal(self, stats) -> float:
         """Log density of a box's observations with its mean integrated
         out: the product of its sequential predictives."""
-        if self._atomic:
-            return _log_sum_exp([w + s for w, s in zip(self._log_w, stats)])
-        b = self.base
         n, _s, ss = stats
+        if self._atomic:
+            return (
+                _log_sum_exp(self._atom_scores(stats))
+                - 0.5 * n * (_LOG_2PI + math.log(self._obs_var))
+                - ss / (2.0 * self._obs_var)
+            )
+        b = self.base
         prior_prec = 1.0 / (b.sigma0 * b.sigma0)
         mean, var = self._posterior_mean_var(stats)
         return (
@@ -279,27 +273,21 @@ class KnownVarGaussianModel:
 
     def posterior_sample_from_stats(self, stats, rng: np.random.Generator):
         if self._atomic:
-            probs = [math.exp(x) for x in self._atom_log_posts(stats)]
-            return self._atoms[sample_categorical(probs, rng)]
+            return self._atoms[sample_log_categorical(self._atom_scores(stats), rng)[0]]
         mean, var = self._posterior_mean_var(stats)
         return float(rng.normal(mean, math.sqrt(var)))
 
     def predictive_logp(self, stats, z) -> float:
         if self._atomic:
-            logp = self._atom_log_posts(stats)
-            return _log_sum_exp(
-                [lp + _norm_logpdf(z, a, self._obs_var) for lp, a in zip(logp, self._atoms)]
-            )
+            scores = self._atom_scores(stats)
+            joint = [sc + _norm_logpdf(z, a, self._obs_var) for sc, a in zip(scores, self._atoms)]
+            return _log_sum_exp(joint) - _log_sum_exp(scores)
         mean, var = self._posterior_mean_var(stats)
         return _norm_logpdf(z, mean, var + self._obs_var)
 
     def predictive_grid(self, stats, grid: np.ndarray) -> np.ndarray:
-        if self._atomic:
-            logp = self._atom_log_posts(stats)
-            out = np.zeros_like(np.asarray(grid, dtype=float))
-            for lp, a in zip(logp, self._atoms):
-                out = out + math.exp(lp) * np.exp(normal_logpdf(grid, a, self._obs_var))
-            return out
+        """Predictive density on a grid; Normal base only (the density
+        estimate rejects an atomic base)."""
         mean, var = self._posterior_mean_var(stats)
         return np.exp(normal_logpdf(np.asarray(grid, dtype=float), mean, var + self._obs_var))
 

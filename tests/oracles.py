@@ -14,6 +14,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 from scipy import integrate
+from scipy.special import logsumexp
 from scipy.stats import kstest, kstwo, norm
 
 from tvdpm.partitions import CountsVector
@@ -508,15 +509,47 @@ def known_var_log_density(u, stats, base, obs_sigma) -> float:
     return _normal_logpdf(u, mean, 1.0 / prec)
 
 
-def atomic_log_density(u, stats, base) -> float:
-    """Posterior mass of atom u given the observations' log-likelihood at
-    every atom; -inf off the atoms."""
-    logp = [math.log(w) + ll for w, ll in zip(base.weights, stats)]
-    top = max(logp)
-    log_total = top + math.log(sum(math.exp(x - top) for x in logp))
+def atomic_log_likelihoods(observations, atoms, obs_sigma) -> list[float]:
+    """Per atom a, sum_i log N(z_i; a, obs_sigma^2), one observation at a
+    time: the slow path the atomic model's closed form on [count, sum,
+    sum of squares] is pinned against."""
+    return [sum(_normal_logpdf(z, a, obs_sigma ** 2) for z in observations) for a in atoms]
+
+
+def atomic_log_posterior(observations, base, obs_sigma) -> list[float]:
+    """Log posterior mass of each atom given the observations."""
+    lls = atomic_log_likelihoods(observations, base.atoms, obs_sigma)
+    logp = [math.log(w) + ll for w, ll in zip(base.weights, lls)]
+    norm = logsumexp(logp)
+    return [float(lp - norm) for lp in logp]
+
+
+def atomic_log_marginal(observations, base, obs_sigma) -> float:
+    """Log density of the observations with the atom summed out."""
+    lls = atomic_log_likelihoods(observations, base.atoms, obs_sigma)
+    return float(logsumexp([math.log(w) + ll for w, ll in zip(base.weights, lls)]))
+
+
+def atomic_predictive_logp(observations, z, base, obs_sigma) -> float:
+    """Log predictive density of z: the atoms' normal densities at z mixed
+    by their posterior given the observations."""
+    post = atomic_log_posterior(observations, base, obs_sigma)
+    return float(logsumexp([lp + _normal_logpdf(z, a, obs_sigma ** 2) for lp, a in zip(post, base.atoms)]))
+
+
+def atomic_log_density(u, stats, base, obs_sigma) -> float:
+    """Posterior mass of atom u given [count, sum, sum of squares] of
+    observations with known standard deviation; -inf off the atoms."""
+    n, s, ss = stats
+    var = obs_sigma ** 2
+    logp = [
+        math.log(w) - 0.5 * n * math.log(2.0 * math.pi * var) - (ss - 2.0 * a * s + n * a * a) / (2.0 * var)
+        for a, w in zip(base.atoms, base.weights)
+    ]
+    log_total = logsumexp(logp)
     for a, lp in zip(base.atoms, logp):
         if math.isclose(a, u):
-            return lp - log_total
+            return float(lp - log_total)
     return float("-inf")
 
 
@@ -540,7 +573,7 @@ def parameter_log_density(model, stats, u) -> float:
         return nig_log_density(u, stats, model.base)
     if isinstance(model, KnownVarGaussianModel):
         if model._atomic:
-            return atomic_log_density(u, stats, model.base)
+            return atomic_log_density(u, stats, model.base, model.obs_sigma)
         return known_var_log_density(u, stats, model.base, model.obs_sigma)
     if isinstance(model, TopicModel):
         return dirichlet_log_density(u, stats, model.base)
@@ -551,8 +584,6 @@ def reference_propose_batch(urn, locations, values, model, rng):
     """Sequential allocation proposal scoring the new box per particle, with
     its importance ratio log Pr(c | m) - log q(c); q is computed here from
     the scores."""
-    from scipy.special import logsumexp
-
     from tvdpm.models import stats_of
     from tvdpm.partitions import sample_log_categorical
 
@@ -593,8 +624,6 @@ def reference_advance(population, batch, model, kernel, config) -> dict:
     """One filtering step in the importance-ratio form: the allocation
     ratio, a newborn box's base over posterior density at its draw, and
     every likelihood recomputed at the final locations."""
-    from scipy.special import logsumexp
-
     from tvdpm.kernels import StaticKernel
     from tvdpm.smc import DegeneracyError, ess, resample
     from tvdpm.urn import apply_policy

@@ -735,9 +735,13 @@ class TestTopicDriver:
 class TestDensityDriver:
     """scripts/run_density_experiment.py filters a preset stream with an smc config."""
 
-    def test_shipped_config_with_few_particles(self, tmp_path):
+    @pytest.mark.parametrize("walk", [True, False], ids=["rho-walk", "no-walk"])
+    def test_shipped_config_with_few_particles(self, tmp_path, walk):
         cfg = json.loads((ROOT / "examples_config" / "smc_density.json").read_text())
         cfg["inference"]["n_particles"] = 20
+        if not walk:
+            cfg["policy"] = {"type": "uniform", "rho": 0.9}
+            del cfg["inference"]["rho_walk"]
         cfg_path = tmp_path / "smc.json"
         cfg_path.write_text(json.dumps(cfg))
         proc = run_script("run_density_experiment.py", "--config", cfg_path, "--out-dir", tmp_path)
@@ -745,6 +749,7 @@ class TestDensityDriver:
         curve = (tmp_path / "alive_mass_paper-4.1-scaled.csv").read_text().splitlines()
         assert curve[0] == "t,N_alive,rho_post,ess,l1_to_truth"
         assert [row.split(",")[0] for row in curve[1:]] == [str(t) for t in range(1, 301)]
+        assert all((row.split(",")[2] != "") == walk for row in curve[1:])
         snaps = (tmp_path / "density_snapshots_paper-4.1-scaled.csv").read_text().splitlines()
         assert snaps[0] == "t,x,f_true,f_est"
         points = cfg["inference"]["grid"]["points"]

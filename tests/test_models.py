@@ -21,6 +21,8 @@ from tvdpm.models import (
 )
 
 from .oracles import (
+    atomic_log_marginal,
+    atomic_predictive_logp,
     dirichlet_predictive_k2,
     nig_posterior_mean_of_mean,
     nig_prior_predictive,
@@ -339,6 +341,43 @@ class TestLogMarginal:
         for w in range(7):
             old = float(math.log(counts[w] + model._alpha) - math.log(total + model.base.theta_v))
             assert model.predictive_logp(stats, w) == old
+
+
+class TestAtomicClosedForm:
+    """The atomic base's closed form on [count, sum, sum of squares] against
+    per-observation, per-atom log-likelihood sums."""
+
+    BASE = FiniteAtomic((-1.0, 0.0, 2.0), (0.2, 0.5, 0.3))
+    SIGMA = 0.8
+    PROBES = (-2.5, 0.3, 1.9)
+
+    def _worst_relative_error(self, model, n, rng):
+        """Largest relative error of `log_marginal` and `predictive_logp`
+        against the oracle, after adding n kept and 5 dropped observations
+        interleaved and removing the dropped ones."""
+        kept, dropped = rng.normal(0.5, 1.5, n).tolist(), rng.normal(0.5, 1.5, 5).tolist()
+        stats = model.empty_stats()
+        for z in dropped[:3] + kept[: n // 2] + dropped[3:] + kept[n // 2:]:
+            model.stats_add(stats, z)
+        for z in dropped:
+            model.stats_remove(stats, z)
+        pairs = [(model.log_marginal(stats), atomic_log_marginal(kept, self.BASE, self.SIGMA))]
+        pairs += [
+            (model.predictive_logp(stats, z), atomic_predictive_logp(kept, z, self.BASE, self.SIGMA))
+            for z in self.PROBES
+        ]
+        return max(abs(got - want) / abs(want) for got, want in pairs)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_equals_per_observation_sums(self, n, rng):
+        model = KnownVarGaussianModel(self.BASE, self.SIGMA)
+        assert self._worst_relative_error(model, n, rng) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_wrong_sigma_fails_the_pin(self, n, rng):
+        # negative control: the oracle keeps sigma, the model is 1% off
+        model = KnownVarGaussianModel(self.BASE, 1.01 * self.SIGMA)
+        assert self._worst_relative_error(model, n, rng) > 1e-6
 
 
 def _stacked_locations(name, gen, m=60):
