@@ -67,7 +67,6 @@ def main():
             est = np.asarray(rec["density"]["values"])
             truth = mixture_density(grid, truths[t])
             l1 = float(np.trapezoid(np.abs(est - truth), grid))
-            # a run without the rho walk has no posterior rho: its cell stays empty
             rho = f"{rec['rho_post']:.5f}" if "rho_post" in rec else ""
             curve.writerow([t, f"{rec['n_alive']:.3f}", rho, f"{rec['ess']:.1f}", f"{l1:.4f}"])
             if t % args.snapshot_every == 0 or t == len(batches):
