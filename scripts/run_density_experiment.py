@@ -17,9 +17,11 @@ Example:
 import argparse
 import csv
 import pathlib
+import sys
 
 import numpy as np
 
+from tvdpm.cli import _NON_NEGATIVE_INT, _POSITIVE_INT, run_command
 from tvdpm.config import build_filter_config, build_model, load_config
 from tvdpm.datagen import DENSITY_PRESETS, gen_density_data, mixture_density
 from tvdpm.kernels import StaticKernel
@@ -33,9 +35,9 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", default=str(DEFAULT_CONFIG), help="smc config (needs inference.grid)")
     ap.add_argument("--preset", default="paper-4.1-scaled", choices=sorted(DENSITY_PRESETS))
-    ap.add_argument("--seed", type=int, help="filter seed (default: the config's seed)")
-    ap.add_argument("--data-seed", type=int, default=1000)
-    ap.add_argument("--snapshot-every", type=int, default=50)
+    ap.add_argument("--seed", type=_NON_NEGATIVE_INT, help="filter seed (default: the config's seed)")
+    ap.add_argument("--data-seed", type=_NON_NEGATIVE_INT, default=1000)
+    ap.add_argument("--snapshot-every", type=_POSITIVE_INT, default=50)
     ap.add_argument("--out-dir", default="results")
     args = ap.parse_args()
 
@@ -73,7 +75,8 @@ def main():
                 for x, ft, fe in zip(grid, truth, est):
                     snaps.writerow([t, f"{x:.4f}", f"{ft:.6f}", f"{fe:.6f}"])
     print(f"wrote {curve_path} and {snap_path}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_command(main))

@@ -14,9 +14,11 @@ Example:
 import argparse
 import csv
 import pathlib
+import sys
 
 import numpy as np
 
+from tvdpm.cli import _NON_NEGATIVE_INT, _POSITIVE_INT, run_command
 from tvdpm.config import build_sampler, load_config
 from tvdpm.datagen import TOPIC_PRESET, gen_topic_corpus
 from tvdpm.mcmc import sweep
@@ -27,8 +29,8 @@ DEFAULT_CONFIG = pathlib.Path(__file__).resolve().parents[1] / "examples_config"
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", default=str(DEFAULT_CONFIG), help="mcmc config with a topic model")
-    ap.add_argument("--sweeps", type=int, help="sweeps (default: the config's inference.sweeps)")
-    ap.add_argument("--seed", type=int, help="corpus and chain seed (default: the config's seed)")
+    ap.add_argument("--sweeps", type=_POSITIVE_INT, help="sweeps (default: the config's inference.sweeps)")
+    ap.add_argument("--seed", type=_NON_NEGATIVE_INT, help="corpus and chain seed (default: the config's seed)")
     ap.add_argument("--out-dir", default="results")
     args = ap.parse_args()
 
@@ -60,7 +62,8 @@ def main():
         top = np.argsort(-counts)[:5]
         words = ", ".join(f"{vocab[i]}({counts[i]})" for i in top if counts[i] > 0)
         print(f"  topic {lab}: n={stats[1]}  {words}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_command(main))

@@ -267,11 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run_command(func, *args) -> int:
+    """`func(*args)`'s exit code behind the boundary of every entry point:
+    a bad config or data is `error: ...` and exit 2, a closed stdout 141."""
     try:
-        code = args.func(args)
+        code = func(*args)
         # flush inside the try, so a closed pipe is seen here and not at exit
         sys.stdout.flush()
         return code
@@ -284,6 +284,11 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 141
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return run_command(args.func, args)
 
 
 if __name__ == "__main__":

@@ -90,15 +90,15 @@ def _inverse_cdf(weights: Sequence[float], total: float, rng: np.random.Generato
     return len(weights) - 1
 
 
-def _inverse_cdf_rows(weights: np.ndarray, rngs: Sequence[np.random.Generator]):
-    """`_inverse_cdf` on each row of an (R, C) weight matrix, row r drawing
-    its one uniform from rngs[r].  The row cumsum adds left to right as the
-    scalar loop does, and a zero weight leaves it unchanged, so the pick (the
-    first index whose running sum exceeds the uniform, else the last index)
-    and the row total are the scalar draw's.  Returns (picks, totals)."""
+def _inverse_cdf_rows(weights: np.ndarray, rng: np.random.Generator):
+    """`_inverse_cdf` on each row of an (R, C) weight matrix, row r taking
+    the r-th uniform of one `rng.random(R)`.  The row cumsum adds left to
+    right as the scalar loop does, and a zero weight leaves it unchanged, so
+    the pick (the first index whose running sum exceeds the uniform, else the
+    last index) and the row total are the scalar draw's.  Returns (picks, totals)."""
     acc = np.cumsum(weights, axis=1)
     total = acc[:, -1]
-    u = np.fromiter((rng.random() for rng in rngs), dtype=float, count=len(total)) * total
+    u = rng.random(len(total)) * total
     picks = np.count_nonzero(~(u[:, None] < acc), axis=1)
     return np.minimum(picks, weights.shape[1] - 1), total
 
@@ -120,16 +120,16 @@ def sample_log_categorical(log_scores: Sequence[float], rng: np.random.Generator
     return _inverse_cdf(weights, total, rng), top + math.log(total)
 
 
-def sample_log_categorical_rows(log_scores: np.ndarray, rngs: Sequence[np.random.Generator]):
+def sample_log_categorical_rows(log_scores: np.ndarray, rng: np.random.Generator):
     """`sample_log_categorical` on each row of an (R, C) matrix of log-scores,
-    row r drawing from rngs[r].  A -inf cell (padding) has weight zero and is
-    never picked, unless its whole row is -inf: that row's normaliser is nan
-    and its pick the last index, as in the scalar draw.  Returns the (R,)
-    picks and log-normalisers."""
+    all R uniforms from one `rng.random(R)`.  A -inf cell (padding) has weight
+    zero and is never picked, unless its whole row is -inf: that row's
+    normaliser is nan and its pick the last index, as in the scalar draw.
+    Returns the (R,) picks and log-normalisers."""
     top = log_scores.max(axis=1)
     with np.errstate(invalid="ignore"):
         weights = np.exp(log_scores - top[:, None])
-    picks, total = _inverse_cdf_rows(weights, rngs)
+    picks, total = _inverse_cdf_rows(weights, rng)
     return picks, top + np.log(total)
 
 

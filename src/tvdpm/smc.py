@@ -15,14 +15,11 @@ Weights live in log space throughout.  They are normalised by
 `models.log_sum_exp_array`, which takes the entries tied at the max out of
 the sum: that keeps the digits of a sum dominated by its largest weight, and
 it is the form scipy.special.logsumexp computes, so the weights equal those
-of a step normalised by scipy bit for bit.  Each particle slot owns an
-independent RNG stream spawned from the caller's generator at
-initialization, so a fixed master seed fixes the run regardless of how the
-per-particle work would be scheduled: the joint allocation draws each row's
-uniform from its particle's stream, so every stream is drawn in the order
-of a particle stepped on its own (walk, deletion, transitions, one uniform
-per observation, posterior draws).  Resampling draws from a dedicated
-stream and is a synchronization barrier.
+of a step normalised by scipy bit for bit.  A run draws from one generator,
+the one `run_filter` is handed, in this phase order per step: the walk over
+all particles; per particle, the deletion and the kernel transitions; one
+uniform per particle per observation; per particle in row order, the
+newborn posterior draws; the resampling offset.
 """
 
 from __future__ import annotations
@@ -66,7 +63,8 @@ _RHO_EPS = 1e-6
 @dataclass(frozen=True)
 class RhoWalk:
     """Beta random walk rho_t ~ B(a_rho, a_rho*(1-rho)/rho), which preserves
-    the mean and has variance rho^2*(1-rho)/(a_rho+rho)."""
+    the mean and has variance rho^2*(1-rho)/(a_rho+rho); `sample` steps a
+    float or, element by element, an array."""
 
     a_rho: float
     rho0: float
@@ -77,10 +75,10 @@ class RhoWalk:
         if not 0.0 < self.rho0 < 1.0:
             raise ValueError("rho0 must lie in (0, 1)")
 
-    def sample(self, rho_prev: float, rng: np.random.Generator) -> float:
-        rho_prev = min(max(rho_prev, _RHO_EPS), 1.0 - _RHO_EPS)
+    def sample(self, rho_prev, rng: np.random.Generator):
+        rho_prev = np.clip(rho_prev, _RHO_EPS, 1.0 - _RHO_EPS)
         draw = rng.beta(self.a_rho, self.a_rho * (1.0 - rho_prev) / rho_prev)
-        return min(max(draw, _RHO_EPS), 1.0 - _RHO_EPS)
+        return np.clip(draw, _RHO_EPS, 1.0 - _RHO_EPS)
 
 
 @dataclass(frozen=True)
@@ -101,15 +99,14 @@ class FilterConfig:
 
 @dataclass
 class Particle:
-    """One urn trajectory hypothesis: alive boxes, their current parameter
-    values (keys match the urn's boxes), and the walk state."""
+    """One urn trajectory hypothesis: alive boxes and their current parameter
+    values (keys match the urn's boxes)."""
 
     urn: UrnState
     locations: dict[int, object]
-    rho: float | None = None
 
     def copy(self) -> "Particle":
-        return Particle(urn=self.urn.copy(), locations=dict(self.locations), rho=self.rho)
+        return Particle(urn=self.urn.copy(), locations=dict(self.locations))
 
 
 class DegeneracyError(RuntimeError):
@@ -122,10 +119,12 @@ class DegeneracyError(RuntimeError):
 
 @dataclass
 class ParticlePopulation:
+    """Particles, log-weights, the run's generator and, with a walk, rho (N,)."""
+
     particles: list[Particle]
     log_weights: np.ndarray
-    rngs: list[np.random.Generator]
-    resample_rng: np.random.Generator
+    rng: np.random.Generator
+    rho: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -136,23 +135,14 @@ class ParticlePopulation:
 
 
 def init_particles(config: FilterConfig, rng: np.random.Generator) -> ParticlePopulation:
-    """N particles with empty urns and equal weights; one spawned RNG stream
-    per particle slot plus one for resampling."""
-    streams = rng.spawn(config.n_particles + 1)
-    particles = [
-        Particle(
-            urn=UrnState.for_policy(config.theta, config.policy),
-            locations={},
-            rho=config.rho_walk.rho0 if config.rho_walk else None,
-        )
-        for _ in range(config.n_particles)
-    ]
-    log_w = np.full(config.n_particles, -math.log(config.n_particles))
+    """N particles with empty urns and equal weights, drawing from `rng`
+    itself; with a walk, every rho starts at rho0."""
+    N = config.n_particles
     return ParticlePopulation(
-        particles=particles,
-        log_weights=log_w,
-        rngs=streams[: config.n_particles],
-        resample_rng=streams[config.n_particles],
+        particles=[Particle(UrnState.for_policy(config.theta, config.policy), {}) for _ in range(N)],
+        log_weights=np.full(N, -math.log(N)),
+        rng=rng,
+        rho=np.full(N, config.rho_walk.rho0) if config.rho_walk else None,
     )
 
 
@@ -169,11 +159,13 @@ def systematic_indices(weights: np.ndarray, rng: np.random.Generator) -> np.ndar
 
 
 def resample(population: ParticlePopulation) -> None:
-    """Systematic resampling in place, drawn from the population's resampling
-    stream; weights reset to 1/N.  Particle slots keep their RNG streams,
-    only states are copied."""
-    idx = systematic_indices(population.weights(), population.resample_rng)
+    """Systematic resampling in place, one offset drawn from the run's
+    generator; the chosen particles are copied, their rho gathered, and the
+    weights reset to 1/N."""
+    idx = systematic_indices(population.weights(), population.rng)
     population.particles = [population.particles[i].copy() for i in idx]
+    if population.rho is not None:
+        population.rho = population.rho[idx]
     population.log_weights = np.full(population.n, -math.log(population.n))
 
 
@@ -199,26 +191,27 @@ def advance(
     {"t", "ess", "resampled"}.  Raises DegeneracyError if every particle's
     weight vanishes.
 
-    Per particle: the rho walk and the deletion, then, under a moving
-    kernel, one array transition of its surviving boxes' parameters (a
-    static kernel makes no transition calls).  Then all particles allocate together, one
-    observation at a time: row r of an (N, B+1) score matrix holds
-    particle r's log mass plus log-likelihood for each surviving box,
-    its collapsed predictive for each box opened earlier in the batch, and
-    the new-box score, padded with -inf; each row draws one uniform from its
-    particle's stream, and its log-normaliser less log(M + theta) is the
-    weight increment.  Last, per particle, a conjugate posterior draw of
-    each newborn box's parameter.  Each particle's stream is drawn in the
-    order of a particle stepped on its own."""
+    The phases, in the order they draw from the run's generator: one rho
+    walk step over the (N,) array; per particle, the deletion and, under a
+    moving kernel, one array transition of its surviving boxes' parameters
+    (a static kernel makes no transition calls); then all particles
+    allocate together, one observation at a time: row r of an (N, B+1)
+    score matrix holds particle r's log mass plus log-likelihood for each
+    surviving box, its collapsed predictive for each box opened earlier in
+    the batch, and the new-box score, padded with -inf; the rows draw one
+    uniform each, and a row's log-normaliser less log(M + theta) is the
+    weight increment.  Then, per particle in row order, a conjugate
+    posterior draw of each newborn box's parameter; last, resampling."""
     static = isinstance(kernel, StaticKernel)
     if not static and not isinstance(model, KnownVarGaussianModel):
         raise ValueError("non-static kernels are supported for the known-variance model only")
-    particles, rngs, R = population.particles, population.rngs, population.n
+    particles, rng, R = population.particles, population.rng, population.n
+    if config.rho_walk is not None:
+        population.rho = config.rho_walk.sample(population.rho, rng)
+    rho = [None] * R if population.rho is None else population.rho.tolist()
     labels, masses, flat = [], [], []
-    for particle, rng in zip(particles, rngs):
-        if config.rho_walk is not None:
-            particle.rho = config.rho_walk.sample(particle.rho, rng)
-        urn = particle.urn = apply_policy(particle.urn, config.policy, rng, particle.rho)
+    for particle, rho_i in zip(particles, rho):
+        urn = particle.urn = apply_policy(particle.urn, config.policy, rng, rho_i)
         prev = particle.locations
         locations = {lab: prev[lab] for lab in urn.boxes}
         if not static:
@@ -257,7 +250,7 @@ def advance(
             for k, stats in enumerate(opened):
                 scores[i, B + k] += model.predictive_logp(stats, z)
         scores[:, B + j] = log_theta + model.predictive_logp(empty, z)
-        picks, log_norm = sample_log_categorical_rows(scores, rngs)
+        picks, log_norm = sample_log_categorical_rows(scores, rng)
         log_inc += log_norm - np.log(total)
         total += 1.0
         new = picks == B + j
@@ -276,11 +269,11 @@ def advance(
         for slot in row:
             urn.add_unit(labs[slot] if slot < B else first_new + slot - B)
         urn.time += 1
-    for i, opened in newborn.items():
-        particle = particles[i]
+    for i in sorted(newborn):
+        particle, opened = particles[i], newborn[i]
         first_new = particle.urn.next_label - len(opened)
         for k, stats in enumerate(opened):
-            particle.locations[first_new + k] = model.posterior_sample_from_stats(stats, rngs[i])
+            particle.locations[first_new + k] = model.posterior_sample_from_stats(stats, rng)
     population.log_weights = population.log_weights + log_inc
     norm = log_sum_exp_array(population.log_weights)
     if not np.isfinite(norm):
@@ -346,9 +339,9 @@ def estimate_alive_mass(population: ParticlePopulation) -> float:
 
 
 def estimate_rho(population: ParticlePopulation) -> float:
-    if population.particles[0].rho is None:
+    if population.rho is None:
         raise ValueError("rho walk is not enabled")
-    return float(sum(w * p.rho for w, p in zip(population.weights(), population.particles)))
+    return float(population.weights() @ population.rho)
 
 
 def run_filter(

@@ -620,28 +620,52 @@ def reference_propose_batch(urn, locations, values, model, rng):
     return assignments, newborn, log_prior_minus_q
 
 
+class _Replay:
+    """A generator stand-in whose `random()` returns the given uniforms in
+    turn."""
+
+    def __init__(self, uniforms):
+        self._next = iter(uniforms).__next__
+
+    def random(self):
+        return self._next()
+
+
 def reference_advance(population, batch, model, kernel, config) -> dict:
     """One filtering step in the importance-ratio form: the allocation
     ratio, a newborn box's base over posterior density at its draw, and
-    every likelihood recomputed at the final locations."""
+    every likelihood recomputed at the final locations.  Particles are
+    stepped one at a time, each scalar call drawing from the run's one
+    generator in the phases of `advance`: the walk, particle by particle;
+    per particle, the deletion and then the transitions; U = one (n, N)
+    block of uniforms, particle i's proposal replaying column U[:, i]; per
+    particle in index order, the newborn posterior draws; resampling."""
     from tvdpm.kernels import StaticKernel
     from tvdpm.smc import DegeneracyError, ess, resample
     from tvdpm.urn import apply_policy
 
     static = isinstance(kernel, StaticKernel)
-    n_new = np.empty(population.n)
-    for i, particle in enumerate(population.particles):
-        rng = population.rngs[i]
-        if config.rho_walk is not None:
-            particle.rho = config.rho_walk.sample(particle.rho, rng)
-        urn = apply_policy(particle.urn, config.policy, rng, particle.rho)
+    rng, N = population.rng, population.n
+    if config.rho_walk is not None:
+        population.rho = np.array([config.rho_walk.sample(r, rng) for r in population.rho])
+    rho = [None] * N if population.rho is None else population.rho
+    moved = []
+    for particle, rho_i in zip(population.particles, rho):
+        urn = apply_policy(particle.urn, config.policy, rng, rho_i)
         locations = {lab: particle.locations[lab] for lab in urn.boxes}
         if not static:
             for lab in urn.boxes:
                 locations[lab] = kernel.transition(locations[lab], rng)
-        assignments, newborn, log_inc = reference_propose_batch(
-            urn, locations, batch.values, model, rng
-        )
+        moved.append((urn, locations))
+    U = rng.random((batch.n, N))
+    proposed = [
+        reference_propose_batch(urn, locations, batch.values, model, _Replay(U[:, i]))
+        for i, (urn, locations) in enumerate(moved)
+    ]
+    n_new = np.empty(N)
+    for i, (particle, (urn, locations), (assignments, newborn, log_inc)) in enumerate(
+        zip(population.particles, moved, proposed)
+    ):
         for lab, stats in newborn.items():
             u = model.posterior_sample_from_stats(stats, rng)
             log_inc += parameter_log_density(model, model.empty_stats(), u)

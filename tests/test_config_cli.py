@@ -711,6 +711,26 @@ def run_script(name, *args):
     )
 
 
+def shipped_with_sliding_window(tmp_path, name):
+    """The shipped config `name` with a policy no schema accepts."""
+    cfg = json.loads((ROOT / "examples_config" / name).read_text())
+    cfg["policy"] = {"type": "sliding_window", "window": 20}
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def assert_exits_2(proc, script, flag):
+    """Exit 2 and no traceback; a config error is one `error: ...` line, a
+    bad flag argparse's usage error naming the flag."""
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if flag is None:
+        assert proc.stderr.startswith("error: config rejected: ")
+    else:
+        assert proc.stderr.splitlines()[-1].startswith(f"{script}: error: argument {flag}: must be")
+
+
 class TestTopicDriver:
     """scripts/run_topic_experiment.py builds its sampler from an mcmc config."""
 
@@ -730,6 +750,17 @@ class TestTopicDriver:
         cfg.write_text(json.dumps(GOOD_CONFIG))
         proc = self.run_driver("--config", str(cfg), "--sweeps", "1", "--out-dir", str(tmp_path))
         assert proc.returncode == 2 and "topic model" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args,flag",
+        [([], None), (["--seed", "-1"], "--seed"), (["--sweeps", "-3"], "--sweeps"), (["--sweeps", "0"], "--sweeps")],
+        ids=["config", "seed-negative", "sweeps-negative", "sweeps-zero"],
+    )
+    def test_bad_input_exits_2(self, tmp_path, args, flag):
+        cfg = shipped_with_sliding_window(tmp_path, "mcmc_topics.json")
+        proc = self.run_driver("--config", cfg, "--sweeps", "1", *args, "--out-dir", tmp_path)
+        assert_exits_2(proc, "run_topic_experiment.py", flag)
+        assert not (tmp_path / "topic_sweeps.csv").exists()
 
 
 class TestDensityDriver:
@@ -754,3 +785,20 @@ class TestDensityDriver:
         assert snaps[0] == "t,x,f_true,f_est"
         points = cfg["inference"]["grid"]["points"]
         assert len(snaps) == 1 + 6 * points  # t = 50, 100, ..., 300
+
+    @pytest.mark.parametrize(
+        "args,flag",
+        [
+            ([], None),
+            (["--snapshot-every", "0"], "--snapshot-every"),
+            (["--snapshot-every", "-50"], "--snapshot-every"),
+            (["--seed", "-1"], "--seed"),
+            (["--data-seed", "-1"], "--data-seed"),
+        ],
+        ids=["config", "snapshot-zero", "snapshot-negative", "seed-negative", "data-seed-negative"],
+    )
+    def test_bad_input_exits_2(self, tmp_path, args, flag):
+        cfg = shipped_with_sliding_window(tmp_path, "smc_density.json")
+        proc = run_script("run_density_experiment.py", "--config", cfg, *args, "--out-dir", tmp_path)
+        assert_exits_2(proc, "run_density_experiment.py", flag)
+        assert not (tmp_path / "alive_mass_paper-4.1-scaled.csv").exists()

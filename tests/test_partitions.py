@@ -210,13 +210,13 @@ class TestCategorical:
 
 
 class _Fixed:
-    """A generator stand-in whose uniform is fixed."""
+    """A generator stand-in whose uniforms are all `u`."""
 
     def __init__(self, u):
         self.u = u
 
-    def random(self):
-        return self.u
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
 
 
 class TestCategoricalRows:
@@ -244,16 +244,15 @@ class TestCategoricalRows:
             scores[-1] = gen.normal(-20.0, 4.0)
             rows.append(scores.tolist())
         matrix, columns = self._padded(rows, width, gen)
-        seeds = range(100, 100 + len(rows))
-        fast = [np.random.default_rng(s) for s in seeds]
-        slow = [np.random.default_rng(s) for s in seeds]
+        # one rng.random(R) per call against R scalar draws, row by row
+        fast, slow = np.random.default_rng(100), np.random.default_rng(100)
         for _ in range(30):
             picks, log_norms = sample_log_categorical_rows(matrix, fast)
-            for r, (scores, cols, rng) in enumerate(zip(rows, columns, slow)):
-                i, log_norm = sample_log_categorical(scores, rng)
+            for r, (scores, cols) in enumerate(zip(rows, columns)):
+                i, log_norm = sample_log_categorical(scores, slow)
                 assert picks[r] == cols[i]
                 assert log_norms[r] == pytest.approx(log_norm, rel=1e-15, abs=0)
-        assert [a.bit_generator.state for a in fast] == [b.bit_generator.state for b in slow]
+        assert fast.bit_generator.state == slow.bit_generator.state
 
     def test_uniform_at_the_rounding_edge_takes_the_last_index(self):
         # 1 - 2**-53 times a total of 1 + 2**-52 rounds to 1.0, which is not
@@ -262,13 +261,13 @@ class TestCategoricalRows:
         scores = [0.0, math.log(2.0**-52)]
         matrix = np.array([[0.0, -math.inf, math.log(2.0**-52)]])
         assert sample_log_categorical(scores, _Fixed(u))[0] == 1
-        picks, _ = sample_log_categorical_rows(matrix, [_Fixed(u)])
+        picks, _ = sample_log_categorical_rows(matrix, _Fixed(u))
         assert picks.tolist() == [2]
 
     def test_row_of_nothing_takes_the_last_index(self):
         # every cell -inf: the normaliser is nan and the pick the last
         # index, in both forms
         i, log_norm = sample_log_categorical([-math.inf, -math.inf], _Fixed(0.5))
-        picks, log_norms = sample_log_categorical_rows(np.full((1, 4), -math.inf), [_Fixed(0.5)])
+        picks, log_norms = sample_log_categorical_rows(np.full((1, 4), -math.inf), _Fixed(0.5))
         assert (i, picks.tolist()) == (1, [3])
         assert math.isnan(log_norm) and math.isnan(log_norms[0])

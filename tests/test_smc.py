@@ -54,24 +54,22 @@ from .oracles import (
 NIG = NormalInverseGamma(0.0, 0.1, 2.0, 1.0)
 
 
-def make_population(particles, weights, seed=0):
-    rng = np.random.default_rng(seed)
-    streams = rng.spawn(len(particles) + 1)
+def make_population(particles, weights, seed=0, rho=None):
     with np.errstate(divide="ignore"):  # zero weights are legitimate here
         log_w = np.log(np.asarray(weights, dtype=float))
     return ParticlePopulation(
         particles=particles,
         log_weights=log_w,
-        rngs=streams[:-1],
-        resample_rng=streams[-1],
+        rng=np.random.default_rng(seed),
+        rho=None if rho is None else np.asarray(rho, dtype=float),
     )
 
 
-def particle_with(boxes, locations, theta=1.0, rho=None):
+def particle_with(boxes, locations, theta=1.0):
     s = UrnState.empty(theta)
     s.boxes.update(boxes)
     s.next_label = max(boxes, default=0) + 1
-    return Particle(urn=s, locations=dict(locations), rho=rho)
+    return Particle(urn=s, locations=dict(locations))
 
 
 class TestInit:
@@ -131,6 +129,12 @@ class TestResample:
         se = math.sqrt(max(count_sq / n_mc - mean**2, 1e-12) / n_mc)
         assert abs(mean - 1.5) < 3 * se
 
+    def test_rho_follows_its_particle(self):
+        parts = [particle_with({1: 1}, {1: (0.0, 1.0)}), particle_with({2: 9}, {2: (0.0, 1.0)})]
+        pop = make_population(parts, [0.0, 1.0], rho=[0.3, 0.7])
+        resample(pop)
+        assert pop.rho.tolist() == [0.7, 0.7]
+
     def test_resample_copies_are_independent(self):
         parts = [particle_with({1: 1}, {1: (0.0, 1.0)}), particle_with({2: 9}, {2: (0.0, 1.0)})]
         pop = make_population(parts, [1.0, 0.0])
@@ -155,6 +159,19 @@ class TestRhoWalk:
         centered = (draws - draws.mean()) ** 2
         se_var = centered.std() / math.sqrt(len(draws))
         assert abs(sample_var - target) < 3 * se_var
+
+    def test_array_form_equals_float_calls(self):
+        # one beta call over an (N,) array draws as N float calls in order,
+        # the clipped ends included
+        walk = RhoWalk(a_rho=50.0, rho0=0.5)
+        prev = np.array([0.5, 1e-9, 0.2, 1.0, 0.97, 0.999999, 0.6])
+        fast, slow = np.random.default_rng(21), np.random.default_rng(21)
+        for _ in range(20):
+            got = walk.sample(prev, fast)
+            want = [walk.sample(float(r), slow) for r in prev]
+            assert got.tolist() == want
+            prev = got
+        assert fast.bit_generator.state == slow.bit_generator.state
 
     def test_resolve_policy_substitutes(self):
         # the walk value passed at apply time acts as the leaf's fixed rho
@@ -264,11 +281,8 @@ class TestEstimators:
         assert estimate_alive_mass(pop) == pytest.approx(7.0)
 
     def test_rho_estimates(self):
-        parts = [
-            particle_with({1: 1}, {1: (0, 1)}, rho=0.8),
-            particle_with({1: 1}, {1: (0, 1)}, rho=1.0),
-        ]
-        pop = make_population(parts, [0.5, 0.5])
+        parts = [particle_with({1: 1}, {1: (0, 1)}), particle_with({1: 1}, {1: (0, 1)})]
+        pop = make_population(parts, [0.5, 0.5], rho=[0.8, 1.0])
         assert estimate_rho(pop) == pytest.approx(0.9)
 
     def test_rho_disabled(self):
@@ -429,16 +443,17 @@ class TestRunFilterSetup:
 def _assert_same_population(got, want):
     # the two weight forms differ only in rounding
     np.testing.assert_allclose(got.log_weights, want.log_weights, rtol=1e-12, atol=0)
-    assert got.resample_rng.bit_generator.state == want.resample_rng.bit_generator.state
-    for r_got, r_want in zip(got.rngs, want.rngs, strict=True):
-        assert r_got.bit_generator.state == r_want.bit_generator.state
+    assert got.rng.bit_generator.state == want.rng.bit_generator.state
+    if want.rho is None:
+        assert got.rho is None
+    else:
+        assert np.array_equal(got.rho, want.rho)
     for p_got, p_want in zip(got.particles, want.particles, strict=True):
         a, b = p_got.urn, p_want.urn
         assert (a.boxes, a.births, a.next_label, a.time) == (b.boxes, b.births, b.next_label, b.time)
         assert p_got.locations.keys() == p_want.locations.keys()
         for lab, u in p_got.locations.items():
             assert np.array_equal(u, p_want.locations[lab])
-        assert p_got.rho == p_want.rho
 
 
 def _gaussian_batches(seed, steps=24, n=3):
