@@ -2,9 +2,14 @@
 
 The object-level chain in `urn` is the reference semantics; this engine runs
 many replicas of the same chain as padded numpy arrays so the statistical
-test suites (ESF marginals, correlation curves) finish within their wall
-clock budgets on a single core.  Tests pin the two implementations against
-each other policy by policy.
+checks (ESF marginals, the one-step moment identities, correlation curves)
+finish within their wall clock budgets on a single core.  Tests pin the two
+implementations against each other policy by policy.
+
+A step is its two phases, `delete` then `allocate`, with the locations
+moved in between; a check that needs them in another order (the moment
+identities allocate into given boxes, then delete) calls them itself on
+an ensemble made by `from_counts`.
 
 Layout: one row per replica, one column per (currently or formerly alive)
 box.  Column identity is meaningful only within a row, which is what lets
@@ -87,12 +92,38 @@ class UrnEnsemble:
         self._rows = np.arange(self.R)
         self.kernel = kernel
         self._loc = None if kernel is None else np.zeros((self.R, B), dtype=np.float64)
+        # `from_counts`: columns 0..k0-1 name the given boxes, so never reorder
+        self._keep_columns = False
+
+    @classmethod
+    def from_counts(cls, n_replicates: int, theta: float, policy: DeletionPolicy, counts):
+        """Replicas that all start from the given box sizes, which keep
+        columns 0..len(counts)-1 of every row for the ensemble's life.  The
+        units carry no ages, so a policy with a sliding window is refused."""
+        counts = np.asarray(counts, dtype=np.int64).reshape(-1)
+        if (counts < 1).any():
+            raise ValueError("initial box sizes must be positive")
+        if policy_window(policy):
+            raise ValueError("given boxes have no unit ages: a sliding window cannot apply")
+        ens = cls(n_replicates, theta, policy)
+        ens._keep_columns = True
+        ens._grow(len(counts) - ens.columns)
+        ens._slots[0][:, : len(counts)] = counts
+        ens._refresh_agg()
+        return ens
 
     # -- column bookkeeping -------------------------------------------------
 
     @property
     def columns(self) -> int:
         return self._agg.shape[1]
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Read-only (R, columns) view of every box's alive units."""
+        view = self._agg.view()
+        view.flags.writeable = False
+        return view
 
     def _refresh_agg(self) -> None:
         if self._depth == 1:
@@ -108,20 +139,24 @@ class UrnEnsemble:
         if self._loc is not None:
             self._loc = np.take_along_axis(self._loc, order, axis=1)
 
-    def _ensure_capacity(self, n: int) -> None:
-        free = (self._agg == 0).sum(axis=1).min()
-        if free >= n:
+    def _grow(self, extra: int) -> None:
+        if extra <= 0:
             return
-        self._compact()
-        free = (self._agg == 0).sum(axis=1).min()
-        if free >= n:
-            return
-        grow = max(n - free, self.columns // 2, 8)
-        pad = ((0, 0), (0, grow))
+        pad = ((0, 0), (0, extra))
         self._slots = [np.pad(s, pad) for s in self._slots]
         self._agg = np.pad(self._agg, pad)
         if self._loc is not None:
             self._loc = np.pad(self._loc, pad)
+
+    def _ensure_capacity(self, n: int) -> None:
+        free = (self._agg == 0).sum(axis=1).min()
+        if free >= n:
+            return
+        # Compacting frees no column (a new box takes any empty one); it only
+        # reorders them, which the seeded draws of a plain ensemble depend on.
+        if not self._keep_columns:
+            self._compact()
+        self._grow(max(n - free, self.columns // 2, 8))
 
     # -- deletion phase -----------------------------------------------------
 
@@ -188,20 +223,21 @@ class UrnEnsemble:
             [np.zeros_like(tail)] + self._slots[:-2] + [tail]
         )
 
-    # -- one full step ------------------------------------------------------
+    def delete(self, rng: np.random.Generator) -> None:
+        """The deletion phase: the policy acts on every replica, then every
+        unit ages by one batch."""
+        self._apply(self.policy, np.ones(self.R, dtype=bool), rng)
+        self._shift_ages()
 
-    def step(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Deletion, location transition, then an n-draw batch.
+    # -- allocation phase -----------------------------------------------------
+
+    def allocate(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """An n-draw Pólya batch into every replica, born at age 0.
 
         Returns the column index each of the n draws joined, shape (R, n);
         equal columns within a row mean same box.
         """
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self._apply(self.policy, np.ones(self.R, dtype=bool), rng)
-        self._shift_ages()
-        if self._loc is not None:
-            self._loc = self.kernel.transition(self._loc, rng)
+        _check_batch(n)
         self._ensure_capacity(n)
         agg = self._agg
         R, B = agg.shape
@@ -252,6 +288,17 @@ class UrnEnsemble:
         self.time += 1
         return ids.T.copy()
 
+    # -- one full step ------------------------------------------------------
+
+    def step(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Deletion, location transition, then an n-draw batch; returns
+        what `allocate` returns."""
+        _check_batch(n)
+        self.delete(rng)
+        if self._loc is not None:
+            self._loc = self.kernel.transition(self._loc, rng)
+        return self.allocate(n, rng)
+
     # -- observables ----------------------------------------------------------
 
     def predictive_mean(self) -> np.ndarray:
@@ -261,6 +308,11 @@ class UrnEnsemble:
             raise ValueError("ensemble built without a kernel: it has no locations")
         total = self._agg.sum(axis=1)
         return (self._agg * self._loc).sum(axis=1) / (total + self.theta)
+
+
+def _check_batch(n: int) -> None:
+    if n < 1:
+        raise ValueError("n must be >= 1")
 
 
 def batch_partition_keys(ids: np.ndarray) -> np.ndarray:
@@ -273,16 +325,20 @@ def batch_partition_keys(ids: np.ndarray) -> np.ndarray:
 def batch_partition_distribution(ids: np.ndarray) -> dict[tuple[int, ...], float]:
     """Empirical law of the batch partition across replicas.
 
-    Keys are descending box-size tuples, e.g. (2, 2, 1) for n = 5.
+    Keys are descending box-size tuples, e.g. (2, 2, 1) for n = 5.  Each
+    row's sorted sizes, digits 1..n, are tallied as one base-(n+1) integer.
     """
     R, n = ids.shape
+    if (n + 1) ** n > np.iinfo(np.int64).max:
+        raise ValueError("partition codes overflow int64 beyond n = 15")
     keys = batch_partition_keys(ids)
-    uniq, counts = np.unique(keys, axis=0, return_counts=True)
+    codes = keys @ (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    _, first, counts = np.unique(codes, return_index=True, return_counts=True)
     out: dict[tuple[int, ...], float] = {}
-    for row, c in zip(uniq, counts):
+    for row, c in zip(keys[first].tolist(), counts):
+        # a box of size m fills m consecutive draws of the sorted row
         parts: list[int] = []
         i = 0
-        row = list(row)
         while i < n:
             parts.append(row[i])
             i += row[i]

@@ -27,6 +27,7 @@ from tvdpm.urn import (
     UniformDeletion,
     UrnState,
     allocate_batch,
+    delete_uniform,
     policy_uses_walk,
     policy_window,
 )
@@ -1006,6 +1007,56 @@ class ReferenceUrnEnsemble:
             ids[:, k] = col
         self.time += 1
         return ids
+
+
+# -- the moment check and the partition tally before they ran on arrays: the
+# slow paths `diagnostics.expected_count_check` and
+# `ensemble.batch_partition_distribution` are pinned against.
+
+
+def object_urn_moments(theta, rho, n, initial_counts, n_mc, rng):
+    """Means and standard errors, over n_mc object urns started from the
+    given box sizes, of each given box's size and of the mass born in new
+    boxes after one allocation batch and one uniform deletion: two arrays of
+    length k0 + 1, the new-box mass last."""
+    initial_counts = [int(c) for c in initial_counts]
+    k0 = len(initial_counts)
+    base_state = UrnState(
+        theta=theta,
+        boxes={i + 1: c for i, c in enumerate(initial_counts)},
+        next_label=k0 + 1,
+    )
+    sums = np.zeros(k0 + 1)
+    sqs = np.zeros(k0 + 1)
+    for _ in range(n_mc):
+        state, _ = allocate_batch(base_state, n, rng)
+        state = delete_uniform(state, rho, rng)
+        masses = [state.boxes.get(i + 1, 0) for i in range(k0)]
+        masses.append(sum(c for lab, c in state.boxes.items() if lab > k0))
+        for i, m in enumerate(masses):
+            sums[i] += m
+            sqs[i] += m * m
+    means = sums / n_mc
+    return means, np.sqrt(np.maximum(sqs / n_mc - means * means, 0.0) / n_mc)
+
+
+def reference_batch_partition_distribution(ids) -> dict[tuple[int, ...], float]:
+    """The batch partition law across replicas, tallied by `np.unique` over
+    the rows of sorted block sizes."""
+    R, n = ids.shape
+    sizes = (ids[:, :, None] == ids[:, None, :]).sum(axis=2)
+    keys = -np.sort(-sizes, axis=1)
+    uniq, counts = np.unique(keys, axis=0, return_counts=True)
+    out: dict[tuple[int, ...], float] = {}
+    for row, c in zip(uniq, counts):
+        parts: list[int] = []
+        i = 0
+        row = list(row)
+        while i < n:
+            parts.append(row[i])
+            i += row[i]
+        out[tuple(parts)] = c / R
+    return out
 
 
 # -- exact filters for a single forced cluster, the oracles of the particle

@@ -103,6 +103,44 @@ class TestExpectedCounts:
         with pytest.raises(ValueError):
             expected_count_check(1.0, 1.5, 1, (2,), 10, rng)
 
+    def test_empty_urn_start(self, rng):
+        # an empty urn is a valid start: every unit opens a new box
+        rep = expected_count_check(1.0, 0.5, 3, (), 5_000, rng)
+        assert rep.box_means == [] and rep.box_z == []
+        assert rep.new_mass_expected == pytest.approx(0.5 * 3)
+        assert rep.max_abs_z == abs(rep.new_mass_z) < 4.0
+
+    @pytest.mark.parametrize(
+        "n,n_mc,match", [(1, 0, "n_mc"), (1, 1, "n_mc"), (0, 100, "n must"), (-1, 100, "n must")]
+    )
+    def test_sizes_checked_before_any_draw(self, rng, n, n_mc, match):
+        # one replica has no standard error (its z would be inf), none
+        # divides by zero; a batch without draws is no batch
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=match):
+            expected_count_check(1.0, 0.5, n, (2, 1), n_mc, rng)
+        assert rng.bit_generator.state == state
+
+    MOMENT_CASES = [((2, 1), 1, 0.3), ((2, 1), 1, 0.5), ((2, 1), 1, 0.9), ((3, 1, 1), 2, 0.5)]
+
+    @staticmethod
+    def _routes_agree(rep, means, ses):
+        fast_means = np.array(rep.box_means + [rep.new_mass_mean])
+        fast_ses = np.array(rep.box_se + [rep.new_mass_se])
+        return bool((np.abs(fast_means - means) < 4.0 * np.hypot(fast_ses, ses)).all())
+
+    @pytest.mark.parametrize("counts,n,rho", MOMENT_CASES)
+    def test_matches_object_urn_oracle(self, counts, n, rho):
+        # the array engine against the object-urn loop it replaced, and the
+        # same comparison against the loop at a wrong rho (negative control)
+        seed = 1000 + 10 * n + int(10 * rho)
+        rep = expected_count_check(1.0, rho, n, counts, 20_000, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed + 1)
+        means, ses = oracles.object_urn_moments(1.0, rho, n, counts, 20_000, rng)
+        assert self._routes_agree(rep, means, ses)
+        wrong_means, wrong_ses = oracles.object_urn_moments(1.0, rho + 0.1, n, counts, 20_000, rng)
+        assert not self._routes_agree(rep, wrong_means, wrong_ses)
+
 
 class TestCorrelationCurve:
     def test_tau_zero_is_one(self, rng):

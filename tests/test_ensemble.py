@@ -20,7 +20,7 @@ from tvdpm.urn import (
     step,
 )
 
-from .oracles import ReferenceUrnEnsemble, counts_of, tv
+from .oracles import ReferenceUrnEnsemble, counts_of, reference_batch_partition_distribution, tv
 
 POLICIES = {
     "uniform": UniformDeletion(0.7),
@@ -91,6 +91,62 @@ def test_partition_keys_sum_to_one(rng):
     dist = batch_partition_distribution(ids)
     assert sum(dist.values()) == pytest.approx(1.0)
     assert all(sum(k) == 5 for k in dist)
+
+
+@pytest.mark.parametrize("n", [1, 5, 8])
+@pytest.mark.parametrize("name", sorted(POLICIES))
+def test_partition_codes_match_tuple_tally(name, n, rng):
+    ens = UrnEnsemble(3_000, 1.3, POLICIES[name])
+    for _ in range(3):
+        ids = ens.step(n, rng)
+    dist = batch_partition_distribution(ids)
+    assert dist == reference_batch_partition_distribution(ids)
+    if n > 1:
+        # negative control: the oracle sees one replica's partition change
+        ids[0] = ids[0, 0] if len(set(ids[0])) > 1 else np.arange(n)
+        assert dist != reference_batch_partition_distribution(ids)
+
+
+def test_partition_codes_refuse_overflow():
+    # a 16-draw row's base-17 code can pass 2**63
+    with pytest.raises(ValueError, match="overflow"):
+        batch_partition_distribution(np.zeros((2, 16), dtype=np.int64))
+
+
+def test_given_boxes_keep_their_columns(rng):
+    # a 20-draw batch is wider than the 13 columns left free, so the layout
+    # grows; the given boxes, out of size order, stay in columns 0..2
+    given = np.array([1, 3, 2])
+    ens = UrnEnsemble.from_counts(400, 1.5, UniformDeletion(1.0), given)
+    assert ens.columns - len(given) < 20
+    ids = ens.allocate(20, rng)
+    assert ens.columns >= 23
+    joined = np.stack([(ids == c).sum(axis=1) for c in range(len(given))], axis=1)
+    np.testing.assert_array_equal(ens.counts[:, :3], given + joined)
+    assert (ens.counts.sum(axis=1) == given.sum() + 20).all()
+    with pytest.raises(ValueError):
+        ens.counts[0, 0] = 0
+
+
+def test_from_counts_rejects():
+    with pytest.raises(ValueError, match="positive"):
+        UrnEnsemble.from_counts(10, 1.0, UniformDeletion(0.5), (2, 0))
+    with pytest.raises(ValueError, match="sliding window"):
+        UrnEnsemble.from_counts(10, 1.0, SlidingWindow(2), (2, 1))
+
+
+def test_step_is_delete_then_allocate():
+    # without a kernel a step is exactly its two phases
+    policy = POLICIES["compose"]
+    a = UrnEnsemble.from_counts(300, 1.2, policy, (4, 2))
+    b = UrnEnsemble.from_counts(300, 1.2, policy, (4, 2))
+    rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(3):
+        ids = a.step(3, rng_a)
+        b.delete(rng_b)
+        np.testing.assert_array_equal(ids, b.allocate(3, rng_b))
+    np.testing.assert_array_equal(a.counts, b.counts)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 def test_max_window():
