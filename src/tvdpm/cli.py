@@ -275,7 +275,15 @@ def run_command(func, *args) -> int:
         # flush inside the try, so a closed pipe is seen here and not at exit
         sys.stdout.flush()
         return code
-    except (ConfigError, DataError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (
+        ConfigError,
+        DataError,
+        FileNotFoundError,
+        IsADirectoryError,
+        NotADirectoryError,
+        PermissionError,
+        json.JSONDecodeError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

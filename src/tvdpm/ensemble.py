@@ -12,15 +12,16 @@ identities allocate into given boxes, then delete) calls them itself on
 an ensemble made by `from_counts`.
 
 Layout: one row per replica, one column per (currently or formerly alive)
-box.  Column identity is meaningful only within a row, which is what lets
-rows be compacted independently.  When unit ages matter (sliding windows,
-possibly mixed with random deletion), counts are resolved into per-age
-slots: index a < depth holds units born a batches ago, and the final
-overflow slot pools everything older (any in-range window kill removes the
-whole overflow, so pooling loses nothing).  Box locations, when the
-ensemble has a kernel, sit in an (R, B) array of the same layout; a
-kernel's `transition` steps a float or an array, so one call moves them
-all (free columns too).
+box.  Column identity is meaningful only within a row: a box keeps the
+column it was born in for life, a new box takes the row's first empty
+column, and growth appends empty columns at the end, so no step moves a
+box.  Counts are held per age in one (depth, R, B) array of slots: index
+a < depth - 1 holds units born a batches ago, and the final overflow slot
+pools everything older (any in-range window kill removes the whole
+overflow, so pooling loses nothing).  Box locations, when the ensemble
+has a kernel, sit in an (R, B) array of the same layout; a kernel's
+`transition` steps a float or an array, so one call moves them all (free
+columns too).
 
 Stream invariant: a step reads the generator exactly as a plain
 whole-array step does (that version is kept as the test reference), so a
@@ -28,7 +29,7 @@ seed gives the same draws, arrays and reports.  The fast step does less
 work, never different draws:
 
 - Uniform thinning draws a binomial only for the nonzero cells, in the
-  row-major order of `rng.binomial(slot, rho)` over the whole array, rows
+  order of `rng.binomial(slot, rho)` over each whole age slot in turn, rows
   that a mixture branch masks out included (their draws are made and
   thrown away).  NumPy's binomial returns 0 for n = 0 without touching the
   stream, so the numbers are the same.
@@ -87,18 +88,16 @@ class UrnEnsemble:
         # single slot suffices when no sliding window can ever fire.
         self._depth = self._window + 2 if self._window else 1
         B = 16  # initial columns; `_ensure_capacity` grows them on demand
-        self._slots = [np.zeros((self.R, B), dtype=np.int64) for _ in range(self._depth)]
+        self._slots = np.zeros((self._depth, self.R, B), dtype=np.int64)
         self._agg = np.zeros((self.R, B), dtype=np.int64)
         self._rows = np.arange(self.R)
         self.kernel = kernel
         self._loc = None if kernel is None else np.zeros((self.R, B), dtype=np.float64)
-        # `from_counts`: columns 0..k0-1 name the given boxes, so never reorder
-        self._keep_columns = False
 
     @classmethod
     def from_counts(cls, n_replicates: int, theta: float, policy: DeletionPolicy, counts):
-        """Replicas that all start from the given box sizes, which keep
-        columns 0..len(counts)-1 of every row for the ensemble's life.  The
+        """Replicas that all start from the given box sizes in columns
+        0..len(counts)-1, which they keep for life as every box does.  The
         units carry no ages, so a policy with a sliding window is refused."""
         counts = np.asarray(counts, dtype=np.int64).reshape(-1)
         if (counts < 1).any():
@@ -106,9 +105,8 @@ class UrnEnsemble:
         if policy_window(policy):
             raise ValueError("given boxes have no unit ages: a sliding window cannot apply")
         ens = cls(n_replicates, theta, policy)
-        ens._keep_columns = True
         ens._grow(len(counts) - ens.columns)
-        ens._slots[0][:, : len(counts)] = counts
+        ens._slots[0, :, : len(counts)] = counts
         ens._refresh_agg()
         return ens
 
@@ -126,37 +124,21 @@ class UrnEnsemble:
         return view
 
     def _refresh_agg(self) -> None:
-        if self._depth == 1:
-            self._agg = self._slots[0].copy()
-        else:
-            self._agg = np.sum(self._slots, axis=0)
-
-    def _compact(self) -> None:
-        order = np.argsort(-self._agg, axis=1, kind="stable")
-        for i, slot in enumerate(self._slots):
-            self._slots[i] = np.take_along_axis(slot, order, axis=1)
-        self._agg = np.take_along_axis(self._agg, order, axis=1)
-        if self._loc is not None:
-            self._loc = np.take_along_axis(self._loc, order, axis=1)
+        # one slot: a copy is cheaper than a sum over it
+        self._agg = self._slots[0].copy() if self._depth == 1 else self._slots.sum(axis=0)
 
     def _grow(self, extra: int) -> None:
         if extra <= 0:
             return
-        pad = ((0, 0), (0, extra))
-        self._slots = [np.pad(s, pad) for s in self._slots]
-        self._agg = np.pad(self._agg, pad)
+        self._slots = np.pad(self._slots, ((0, 0), (0, 0), (0, extra)))
+        self._agg = np.pad(self._agg, ((0, 0), (0, extra)))
         if self._loc is not None:
-            self._loc = np.pad(self._loc, pad)
+            self._loc = np.pad(self._loc, ((0, 0), (0, extra)))
 
     def _ensure_capacity(self, n: int) -> None:
         free = (self._agg == 0).sum(axis=1).min()
-        if free >= n:
-            return
-        # Compacting frees no column (a new box takes any empty one); it only
-        # reorders them, which the seeded draws of a plain ensemble depend on.
-        if not self._keep_columns:
-            self._compact()
-        self._grow(max(n - free, self.columns // 2, 8))
+        if free < n:
+            self._grow(max(n - free, self.columns // 2, 8))
 
     # -- deletion phase -----------------------------------------------------
 
@@ -174,17 +156,17 @@ class UrnEnsemble:
     def _apply(self, policy: DeletionPolicy, mask: np.ndarray, rng: np.random.Generator):
         if isinstance(policy, UniformDeletion):
             if policy.rho < 1.0:
-                all_rows = mask.all()
-                for slot in self._slots:
-                    # the nonzero cells in the row-major order of a
-                    # whole-array draw (n = 0 draws nothing); rows outside
-                    # the mask draw too, and keep their counts
-                    cells = np.flatnonzero(slot != 0)
-                    thinned = rng.binomial(slot.take(cells), policy.rho)
-                    if not all_rows:
-                        keep = mask[cells // self.columns]
-                        cells, thinned = cells[keep], thinned[keep]
-                    np.put(slot, cells, thinned)
+                # the nonzero cells slot by slot, row-major within each, as
+                # a whole-array draw per slot makes them (n = 0 draws
+                # nothing); rows outside the mask draw too, and keep their
+                # counts
+                slots = self._slots
+                cells = np.flatnonzero(slots != 0)
+                thinned = rng.binomial(slots.take(cells), policy.rho)
+                if not mask.all():
+                    keep = mask[cells // self.columns % self.R]
+                    cells, thinned = cells[keep], thinned[keep]
+                np.put(slots, cells, thinned)
             self._refresh_agg()
         elif isinstance(policy, SizeBiasedDeletion):
             # each pick reads the counts the previous pick left, as
@@ -196,8 +178,7 @@ class UrnEnsemble:
                 u = rng.random(self.R) * masses
                 unit = start[hit] + u[hit].astype(np.int64)
                 col = np.searchsorted(ends, unit, side="right") - rows * self.columns
-                for slot in self._slots:
-                    slot[rows, col] = 0
+                self._slots[:, rows, col] = 0
                 self._refresh_agg()
         elif isinstance(policy, MixturePolicy):
             pick_a = rng.random(self.R) < policy.alpha
@@ -208,8 +189,7 @@ class UrnEnsemble:
                 self._apply(sub, mask, rng)
         elif isinstance(policy, SlidingWindow):
             # Keep units born within the last r batches (slot index < r).
-            for slot in self._slots[policy.r :]:
-                slot[mask, :] = 0
+            self._slots[policy.r :, mask] = 0
             self._refresh_agg()
         else:
             raise TypeError(f"unknown deletion policy {policy!r}")
@@ -217,11 +197,10 @@ class UrnEnsemble:
     def _shift_ages(self) -> None:
         if self._depth == 1:
             return
-        self._slots[-1] += self._slots[-2]
-        tail = self._slots[-1]
-        self._slots = (
-            [np.zeros_like(tail)] + self._slots[:-2] + [tail]
-        )
+        slots = self._slots
+        slots[-1] += slots[-2]
+        slots[1:-1] = slots[:-2]
+        slots[0] = 0
 
     def delete(self, rng: np.random.Generator) -> None:
         """The deletion phase: the policy acts on every replica, then every

@@ -905,19 +905,7 @@ class ReferenceUrnEnsemble:
         else:
             self._agg = np.sum(self._slots, axis=0)
 
-    def _compact(self) -> None:
-        order = np.argsort(-self._agg, axis=1, kind="stable")
-        for i, slot in enumerate(self._slots):
-            self._slots[i] = np.take_along_axis(slot, order, axis=1)
-        self._agg = np.take_along_axis(self._agg, order, axis=1)
-        if self._loc is not None:
-            self._loc = np.take_along_axis(self._loc, order, axis=1)
-
     def _ensure_capacity(self, n: int) -> None:
-        free = (self._agg == 0).sum(axis=1).min()
-        if free >= n:
-            return
-        self._compact()
         free = (self._agg == 0).sum(axis=1).min()
         if free >= n:
             return

@@ -99,12 +99,18 @@ def write_corpus(tmp_path, records):
     return ["mcmc", "--config", str(cfg_path), "--out", str(tmp_path / "o.jsonl")]
 
 
+def checkout_env() -> dict:
+    """The environment of a new interpreter that imports this checkout's tvdpm."""
+    src = str(pathlib.Path(tvdpm.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def fresh_python(code: str) -> str:
     """Run `code` in a new interpreter that imports this checkout's tvdpm;
     returns its stripped stdout."""
-    src = str(pathlib.Path(tvdpm.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=checkout_env()
+    )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
@@ -284,11 +290,9 @@ class TestCli:
             "simulate": ["simulate", "--theta", "1.5", "--policy", POLICY, "--n", "5",
                          "--steps", "20000", "--seed", "1"],
         }[command]
-        src = str(pathlib.Path(tvdpm.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "tvdpm.cli", *args],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=checkout_env(),
         )
         proc.stdout.close()
         err = proc.stderr.read()
@@ -320,6 +324,27 @@ class TestCli:
         )
         assert code == 0
         assert len(vocab.read_text().splitlines()) == 20
+
+    @pytest.mark.parametrize("flag", ["--out", "--config"])
+    @pytest.mark.parametrize("kind", ["directory", "through-file"])
+    def test_bad_path_exits_2(self, tmp_path, flag, kind):
+        # before, an IsADirectoryError or NotADirectoryError traceback and
+        # exit 1; a missing directory already exited 2
+        (tmp_path / "file").write_text("")
+        bad = str(tmp_path) if kind == "directory" else str(tmp_path / "file" / "x.json")
+        args = {
+            "--out": ["simulate", "--theta", "1.5", "--policy", POLICY, "--n", "3",
+                      "--steps", "2", "--seed", "1", "--out", bad],
+            "--config": ["smc", "--config", bad, "--out", str(tmp_path / "o.jsonl")],
+        }[flag]
+        proc = subprocess.run(
+            [sys.executable, "-m", "tvdpm.cli", *args],
+            capture_output=True, text=True, env=checkout_env(),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        error = "Is a directory" if kind == "directory" else "Not a directory"
+        assert proc.stderr.startswith("error: ") and error in proc.stderr
 
     def test_simulate_deterministic(self, tmp_path):
         args = [

@@ -171,7 +171,7 @@ def test_predictive_mean_single_box(rng):
 
 def test_column_growth_under_pressure(rng):
     # a batch wider than the 16 initial columns must transparently grow, and
-    # later batches compact into the grown layout
+    # later batches reuse the grown layout's freed columns
     ens = UrnEnsemble(50, 5.0, UniformDeletion(0.2))
     assert ens.columns == 16
     ens.step(20, rng)
@@ -179,6 +179,23 @@ def test_column_growth_under_pressure(rng):
     for _ in range(30):
         ens.step(6, rng)
     assert (ens._agg.sum(axis=1) >= 6).all()
+
+
+def test_boxes_keep_their_columns_across_growth(rng):
+    # no deletion and a static kernel: a box's count can only rise and its
+    # location never moves, so after a growth each alive box must sit in its
+    # old column with at least its old count and the same location
+    ens = UrnEnsemble(300, 3.0, UniformDeletion(1.0), kernel=StaticKernel())
+    while (ens.counts > 0).sum(axis=1).max() < 12:
+        ens.step(2, rng)
+    assert ens.columns == 16
+    before, loc = ens.counts.copy(), ens._loc.copy()
+    alive = before > 0
+    free = (before == 0).sum(axis=1).min()
+    ens.step(free + 1, rng)
+    assert ens.columns > 16
+    assert (ens.counts[:, :16] >= before).all()
+    np.testing.assert_array_equal(ens._loc[:, :16][alive], loc[alive])
 
 
 @pytest.mark.parametrize("R", [0, -1])
@@ -243,7 +260,8 @@ def assert_steps_equal_reference(R, n, theta, policy, seed, kernel=None):
 @pytest.mark.parametrize("R,n", REFERENCE_SIZES)
 @pytest.mark.parametrize("name", sorted(REFERENCE_POLICIES))
 def test_steps_equal_reference(name, R, n):
-    # n = 20 is wider than the 16 initial columns: growth, then compaction
+    # n = 20 is wider than the 16 initial columns: growth, then freed
+    # columns reused in place
     assert_steps_equal_reference(R, n, 1.3, REFERENCE_POLICIES[name], seed=R + n)
 
 
