@@ -328,8 +328,7 @@ class TestCli:
     @pytest.mark.parametrize("flag", ["--out", "--config"])
     @pytest.mark.parametrize("kind", ["directory", "through-file"])
     def test_bad_path_exits_2(self, tmp_path, flag, kind):
-        # before, an IsADirectoryError or NotADirectoryError traceback and
-        # exit 1; a missing directory already exited 2
+        # a path the system refuses is a usage error, as a missing one is
         (tmp_path / "file").write_text("")
         bad = str(tmp_path) if kind == "directory" else str(tmp_path / "file" / "x.json")
         args = {
