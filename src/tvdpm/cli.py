@@ -116,6 +116,8 @@ def _read_batches(cfg, command: str):
 
 
 def cmd_gen_data(args) -> int:
+    if args.vocab_out and args.preset != "topic-synthetic":
+        raise ConfigError("--vocab-out is for --preset topic-synthetic: a density stream has no vocabulary")
     rng = np.random.default_rng(args.seed)
     if args.preset == "topic-synthetic":
         records, vocab, _topics = datagen.gen_topic_corpus(datagen.TOPIC_PRESET, rng)
@@ -259,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--rho", type=_PROBABILITY, action="append", required=True)
     c.add_argument("--taus", type=_TAUS, default="0,1,5,10")
     c.add_argument("--n-mc", type=_AT_LEAST_TWO_INT, default=10_000)
-    c.add_argument("--burn-in", type=_NON_NEGATIVE_INT, default=200)
+    c.add_argument("--burn-in", type=_POSITIVE_INT, default=200)
     c.add_argument("--kernel-phi", type=_AR1_PHI, default=None)
     c.add_argument("--seed", type=_NON_NEGATIVE_INT, required=True)
     c.add_argument("--out", default="-")

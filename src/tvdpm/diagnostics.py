@@ -214,6 +214,8 @@ def mean_correlation_curve(
         raise ValueError("taus must be non-negative")
     if n_mc < 2:
         raise ValueError("n_mc must be at least 2: a correlation needs two replicas")
+    if burn_in < 1:
+        raise ValueError("burn_in must be at least 1: every urn is empty at t = 0, so its predictive mean is 0")
     kernel = StaticKernel() if kernel_phi is None else GaussianAR1(kernel_phi, GaussianKnownVar(0.0, 1.0))
     ens = UrnEnsemble(n_mc, theta, UniformDeletion(rho), kernel=kernel)
     for _ in range(burn_in):

@@ -13,13 +13,13 @@ Both conditionals are computed on the canonical state space where every
 box's alive interval is contiguous in time.  Moves that would strand a
 later unit of the box (leave it joined to a box that is dead at its birth)
 get zero conditional mass, so contiguity is preserved by construction;
-`relabel` restores it when a state is built from raw tables.
+`from_tables` restores it with `relabel`, which splits a box at its gaps.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 
 import numpy as np
 
@@ -41,31 +41,15 @@ __all__ = [
 NEG_INF = float("-inf")
 
 
-def _check_setup(T, n, theta, rho, observations, model, mode, kernel):
-    """The constructor's argument checks; `from_prior` runs them before its first draw."""
-    if T < 1 or n < 1:
-        raise ValueError("T and n must be >= 1")
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
-    if mode not in ("collapsed", "static", "ar1"):
-        raise ValueError("mode must be collapsed, static or ar1")
-    if mode == "ar1" and not isinstance(kernel, GaussianAR1):
-        raise ValueError("ar1 mode needs a GaussianAR1 kernel")
-    if mode == "static" and model is None:
-        raise ValueError("static explicit-location mode needs a model")
-    if observations is not None and model is None:
-        raise ValueError("observations need a model")
-
-
 def reconstruct_counts(c, d):
     """Per-time alive-count maps implied by allocation and death tables.
 
     `c[t-1][k]` and `d[t-1][k]` describe unit (k, t) for t = 1..T.  Returns
     (after_batch, after_deletion): after_batch[u-1] maps label -> count of
     units with t <= u <= min(d, T); after_deletion[u-1] counts units with
-    t < u <= d (the state the batch at u is drawn against).
+    t < u <= d (the state the batch at u is drawn against).  The sampler
+    keeps these counts in place; this is the independent rebuild that
+    `MCMCState.check_caches` compares them against.
     """
     T = len(c)
     after_batch = [defaultdict(int) for _ in range(T)]
@@ -114,7 +98,20 @@ class MCMCState:
         mode: str = "collapsed",
         kernel=None,
     ):
-        _check_setup(T, n, theta, rho, observations, model, mode, kernel)
+        if T < 1 or n < 1:
+            raise ValueError("T and n must be >= 1")
+        if theta <= 0:
+            raise ValueError("theta must be positive")
+        if not 0.0 <= rho <= 1.0:
+            raise ValueError("rho must lie in [0, 1]")
+        if mode not in ("collapsed", "static", "ar1"):
+            raise ValueError("mode must be collapsed, static or ar1")
+        if mode == "ar1" and not isinstance(kernel, GaussianAR1):
+            raise ValueError("ar1 mode needs a GaussianAR1 kernel")
+        if mode == "static" and model is None:
+            raise ValueError("static explicit-location mode needs a model")
+        if observations is not None and model is None:
+            raise ValueError("observations need a model")
         self.T = T
         self.n = n
         self.theta = float(theta)
@@ -175,27 +172,26 @@ class MCMCState:
         batch is drawn against the units still alive, and each of its units
         draws its death time at birth, as its lifetime does not depend on the
         allocations: last alive at t + G - 1, G ~ Geometric(1 - rho), capped
-        at T + 1 (alive at the horizon)."""
-        _check_setup(T, n, theta, rho, observations, model, mode, kernel)
-        urn = UrnState(theta)
-        dying: dict[int, list[int]] = defaultdict(list)  # d -> labels of its units
-        c, d = [], []
+        at T + 1 (alive at the horizon).  Units are placed as they are
+        drawn, so the alive counts are the urn the next batch draws from."""
+        state = cls(
+            T, n, theta, rho,
+            observations=observations, model=model, mode=mode, kernel=kernel,
+        )
         for t in range(1, T + 1):
-            urn.boxes = dict(Counter(urn.boxes) - Counter(dying.pop(t - 1, ())))
+            # labels are born in increasing order, so sorting restores the
+            # urn's order of its alive boxes
+            urn = UrnState(theta, dict(sorted(state.pre[t - 1].items())), state.next_label)
             urn, batch = allocate_batch(urn, n, rng)
+            state.next_label = urn.next_label
             if rho < 1.0:
                 deaths = np.minimum(t - 1 + rng.geometric(1.0 - rho, n), T + 1).tolist()
             else:
                 deaths = [T + 1] * n
-            for lab, u in zip(batch, deaths):
-                dying[u].append(lab)
-            c.append(batch)
-            d.append(deaths)
-        return cls.from_tables(
-            c, d, theta, rho,
-            observations=observations, model=model, mode=mode, kernel=kernel,
-            canonicalize=False, rng=rng,
-        )
+            for k, (lab, u) in enumerate(zip(batch, deaths)):
+                state._place(lab, k, t, u)
+        state._finish(rng)
+        return state
 
     @classmethod
     def from_tables(
@@ -209,48 +205,49 @@ class MCMCState:
         model=None,
         mode: str = "collapsed",
         kernel=None,
-        canonicalize: bool = True,
         rng: np.random.Generator | None = None,
     ) -> "MCMCState":
-        """State from allocation and death tables; static and AR1 modes
-        draw the box locations from `rng`, which they require."""
-        T = len(c)
-        n = len(c[0])
+        """State from allocation and death tables, every box split at its
+        gaps into contiguous ones; static and AR1 modes draw the box
+        locations from `rng`, which they require."""
         state = cls(
-            T, n, theta, rho,
+            len(c), len(c[0]), theta, rho,
             observations=observations, model=model, mode=mode, kernel=kernel,
         )
         if state.mode != "collapsed" and rng is None:
             raise ValueError(f"{state.mode} mode draws box locations: from_tables needs an rng")
-        next_label = max(max(row) for row in c) + 1
-        state._load_tables([list(row) for row in c], [list(row) for row in d], next_label)
-        if canonicalize:
-            for lab in list(state.blocks):
-                while (gap := _first_gap(state, lab)) is not None:
-                    relabel(state, lab, gap)
-        if state.mode != "collapsed":
-            state._init_locations(rng)
-        return state
-
-    def _load_tables(self, c, d, next_label):
-        self.c = c
-        self.d = d
-        self.next_label = next_label
-        self.m_post, self.pre = reconstruct_counts(c, d)
-        self.pre_total = [sum(m.values()) for m in self.pre]
-        self.blocks = defaultdict(set)
+        state.next_label = max(max(row) for row in c) + 1
         for ti, row in enumerate(c):
             for k, lab in enumerate(row):
-                self.blocks[lab].add((ti + 1, k))
-        self.blocks = dict(self.blocks)
+                state._place(lab, k, ti + 1, d[ti][k])
+        for lab in list(state.blocks):
+            while (gap := _first_gap(state, lab)) is not None:
+                relabel(state, lab, gap)
+        state._finish(rng)
+        return state
+
+    def _place(self, label: int, k: int, t: int, death: int):
+        """Put unit (k, t), dying at `death`, into box `label`: the tables,
+        the box's unit set and the alive counts over its lifetime.  Every
+        unit enters a box through here; statistics and locations are the
+        caller's."""
+        if death < t:
+            raise ValueError(f"death time {death} before birth {t} at unit ({k}, {t})")
+        self.c[t - 1][k] = label
+        self.d[t - 1][k] = death
+        self.blocks.setdefault(label, set()).add((t, k))
+        _shift(self, label, t, min(death, self.T), 1, t)
+
+    def _finish(self, rng):
+        """Statistics of every placed box, and in explicit modes its
+        location: one shared value (static), or a base draw at the box's
+        first alive time extended over its alive interval (AR1)."""
         if self.obs is not None:
             self.stats = {lab: self._stats_of(units) for lab, units in self.blocks.items()}
-
-    def _init_locations(self, rng: np.random.Generator):
         for lab in self.blocks:
             if self.mode == "static":
                 self.locs[lab] = _fresh_location(self, lab, rng)
-            else:
+            elif self.mode == "ar1":
                 self.locs[lab] = {self.alive_interval(lab)[0]: sample_base(self.kernel.base, rng)}
                 _fit_trajectory(self, lab, rng)
 
@@ -435,10 +432,9 @@ def gibbs_allocation(state: MCMCState, k: int, t: int, rng: np.random.Generator)
     if target is None:
         target = state.next_label
         state.next_label += 1
-        _attach_new_box(state, target, k, t, dd, z, rng)
+        _attach_new_box(state, target, k, t, z, rng)
     else:
-        _attach_unit(state, target, k, t, dd, z, rng)
-    state.c[t - 1][k] = target
+        _attach_unit(state, target, k, t, z, rng)
 
 
 def _detach_unit(state: MCMCState, a: int, k: int, t: int, dd: int, z, rng):
@@ -457,18 +453,16 @@ def _detach_unit(state: MCMCState, a: int, k: int, t: int, dd: int, z, rng):
         _fit_trajectory(state, a, rng)
 
 
-def _attach_unit(state: MCMCState, b: int, k: int, t: int, dd: int, z, rng):
-    state.blocks[b].add((t, k))
-    _shift(state, b, t, dd, 1, t)
+def _attach_unit(state: MCMCState, b: int, k: int, t: int, z, rng):
+    state._place(b, k, t, state.d[t - 1][k])
     if state.obs is not None:
         state.model.stats_add(state.stats[b], z)
     if state.mode == "ar1":
         _fit_trajectory(state, b, rng)
 
 
-def _attach_new_box(state: MCMCState, b: int, k: int, t: int, dd: int, z, rng):
-    state.blocks[b] = {(t, k)}
-    _shift(state, b, t, dd, 1, t)
+def _attach_new_box(state: MCMCState, b: int, k: int, t: int, z, rng):
+    state._place(b, k, t, state.d[t - 1][k])
     if state.obs is not None:
         state.stats[b] = stats_of(state.model, [z])
     if state.mode == "static":
@@ -643,14 +637,10 @@ def relabel(state: MCMCState, label: int, from_time: int):
         return
     fresh = state.next_label
     state.next_label += 1
-    state.blocks[fresh] = set()
     for (t, k) in moved:
         state.blocks[label].discard((t, k))
-        state.blocks[fresh].add((t, k))
-        state.c[t - 1][k] = fresh
-        dd = min(state.d[t - 1][k], state.T)
-        _shift(state, label, t, dd, -1, t)
-        _shift(state, fresh, t, dd, 1, t)
+        _shift(state, label, t, min(state.d[t - 1][k], state.T), -1, t)
+        state._place(fresh, k, t, state.d[t - 1][k])
     if not state.blocks[label]:
         del state.blocks[label]
     if state.obs is not None:

@@ -282,6 +282,29 @@ def unit_survival_prior_tables(T: int, n: int, theta: float, rho: float, rng):
     return c, d
 
 
+def reference_prior_tables(T: int, n: int, theta: float, rho: float, rng):
+    """(c, d) from the uniform-deletion prior as `MCMCState.from_prior` drew
+    them before it placed units as it drew: an object urn, a map from death
+    time to the labels of the units dying then, and `Counter` subtraction of
+    those labels before each batch.  Each unit draws its death time at
+    birth: t + G - 1, G ~ Geometric(1 - rho), capped at T + 1."""
+    urn = UrnState(theta)
+    dying: dict[int, list[int]] = defaultdict(list)  # d -> labels of its units
+    c, d = [], []
+    for t in range(1, T + 1):
+        urn.boxes = dict(Counter(urn.boxes) - Counter(dying.pop(t - 1, ())))
+        urn, batch = allocate_batch(urn, n, rng)
+        if rho < 1.0:
+            deaths = np.minimum(t - 1 + rng.geometric(1.0 - rho, n), T + 1).tolist()
+        else:
+            deaths = [T + 1] * n
+        for lab, u in zip(batch, deaths):
+            dying[u].append(lab)
+        c.append(batch)
+        d.append(deaths)
+    return c, d
+
+
 def inline_categorical(probs, rng) -> int:
     """Reference for `partitions.sample_categorical`: the inverse-CDF loop
     the samplers carried inline before they shared it, kept verbatim."""
@@ -791,10 +814,9 @@ def reference_gibbs_allocation(state, k: int, t: int, rng):
     if target is None:
         target = state.next_label
         state.next_label += 1
-        _attach_new_box(state, target, k, t, dd, z, rng)
+        _attach_new_box(state, target, k, t, z, rng)
     else:
-        _attach_unit(state, target, k, t, dd, z, rng)
-    state.c[t - 1][k] = target
+        _attach_unit(state, target, k, t, z, rng)
 
 
 def reference_gibbs_death_time(state, k: int, t: int, rng):

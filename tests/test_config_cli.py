@@ -244,6 +244,18 @@ class TestCli:
         assert code == 2 and named in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["preset", "stream-config"])
+    def test_gen_data_vocab_out_needs_topic_preset(self, tmp_path, source):
+        # a density stream has no vocabulary: this exited 0 and wrote no vocabulary
+        (tmp_path / "s.json").write_text(json.dumps(DENSITY_PRESETS["paper-4.1-scaled"]))
+        args = ["--preset", "paper-4.1"] if source == "preset" else ["--stream-config", str(tmp_path / "s.json")]
+        out, vocab = tmp_path / "o.jsonl", tmp_path / "v.txt"
+        code, stdout, err = run_cli(
+            ["gen-data", *args, "--seed", "1", "--out", str(out), "--vocab-out", str(vocab)]
+        )
+        assert code == 2 and "error: --vocab-out is for --preset topic-synthetic" in err
+        assert stdout == "" and not out.exists() and not vocab.exists()
+
     @pytest.mark.parametrize(
         "command",
         ["gen-data-density", "gen-data-topic", "simulate", "smc", "mcmc", "correlation", "validate"],
@@ -579,6 +591,8 @@ class TestCli:
             (["simulate", "--theta", "1", "--policy", POLICY, "--n", "1", "--steps", "-3", "--seed", "0"], "--steps"),
             (["correlation", "--theta", "1", "--rho", "0.5", "--n-mc", "5", "--burn-in", "-5",
               "--seed", "2"], "--burn-in"),
+            (["correlation", "--theta", "1", "--rho", "0.5", "--n-mc", "5", "--burn-in", "0",
+              "--seed", "2"], "--burn-in"),
             (["correlation", "--theta", "1", "--rho", "0.5", "--n-mc", "5", "--taus=-1,2",
               "--seed", "2"], "--taus"),
             (["correlation", "--theta", "1", "--rho", "0.5", "--n-mc", "5", "--taus", "a,b",
@@ -587,7 +601,7 @@ class TestCli:
         ids=["gen-data-seed", "simulate-seed", "validate-seed", "smc-seed", "mcmc-seed",
              "correlation-seed", "simulate-theta", "simulate-n", "correlation-theta",
              "correlation-rho", "correlation-n-mc", "correlation-n-mc-one", "correlation-kernel-phi",
-             "simulate-steps", "correlation-burn-in", "correlation-taus-negative",
+             "simulate-steps", "correlation-burn-in", "correlation-burn-in-zero", "correlation-taus-negative",
              "correlation-taus-not-integers"],
     )
     def test_bad_numeric_flag_is_usage_error(self, tmp_path, args, flag):

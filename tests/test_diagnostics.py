@@ -162,6 +162,14 @@ class TestCorrelationCurve:
         with pytest.raises(ValueError, match="n_mc"):
             mean_correlation_curve(3.0, 0.9, [0, 1], 1, 5, rng)
 
+    def test_zero_burn_in_rejected(self, rng):
+        # every urn is empty at t = 0, so every predictive mean is 0 and the
+        # correlation is undefined; nothing is drawn
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="burn_in must be at least 1"):
+            mean_correlation_curve(3.0, 0.9, [0, 1], 100, 0, rng)
+        assert rng.bit_generator.state == state
+
     @pytest.mark.parametrize("phi", [1.5, -1.01])
     def test_kernel_phi_outside_unit_interval_rejected(self, phi, rng):
         # sqrt(1 - phi^2) of the AR(1) step would be NaN; nothing is drawn

@@ -102,6 +102,43 @@ class TestPriorSimulation:
         assert rng.bit_generator.state == state
 
 
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.9, 1.0])
+    def test_draw_equals_reference_loop(self, rho):
+        """Placing units as they are drawn consumes the generator exactly as
+        the dying-map loop it replaced (`oracles.reference_prior_tables`)."""
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            ref = np.random.default_rng(seed)
+            T, n = 1 + seed % 7, 1 + seed % 4
+            state = MCMCState.from_prior(T, n, 1.3, rho, rng)
+            assert (state.c, state.d) == oracles.reference_prior_tables(T, n, 1.3, rho, ref)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("with_data", [False, True], ids=["prior", "data"])
+    def test_caches_equal_from_tables(self, rng, with_data):
+        """A drawn state and the state `from_tables` builds from its tables
+        agree on every cache, key order included: the allocation move takes
+        its candidates in the order of `m_post`."""
+        nig = GaussianModel(NormalInverseGamma(0.0, 0.1, 2.0, 1.0))
+        for _ in range(50):
+            kw = {}
+            if with_data:
+                kw = dict(observations=[tuple(rng.normal(0.0, 2.0, 3).tolist()) for _ in range(5)], model=nig)
+            state = MCMCState.from_prior(5, 3, 1.0, 0.7, rng, **kw)
+            again = MCMCState.from_tables(state.c, state.d, 1.0, 0.7, **kw)
+            assert [list(m.items()) for m in state.m_post] == [list(m.items()) for m in again.m_post]
+            assert [list(m.items()) for m in state.pre] == [list(m.items()) for m in again.pre]
+            assert state.pre_total == again.pre_total
+            assert state.blocks == again.blocks and state.next_label == again.next_label
+            assert list(state.stats) == list(again.stats)
+            for lab, st in state.stats.items():
+                assert st == again.stats[lab]
+
+    def test_from_tables_rejects_death_before_birth(self):
+        with pytest.raises(ValueError, match=r"death time 1 before birth 2 at unit \(1, 2\)"):
+            MCMCState.from_tables([[1, 1], [1, 2]], [[2, 2], [2, 1]], 1.0, 0.5)
+
+
 PRIOR_DRAWS = 100_000
 
 
@@ -373,14 +410,23 @@ class TestMovesAgainstReference:
 
 
 class TestRelabel:
+    @staticmethod
+    def raw_state(c, d):
+        """The tables placed unit by unit and left as they are: unlike
+        `from_tables`, nothing splits a box at its gaps."""
+        state = MCMCState(len(c), len(c[0]), 1.0, 0.5)
+        for ti, row in enumerate(c):
+            for k, lab in enumerate(row):
+                state._place(lab, k, ti + 1, d[ti][k])
+        state.next_label = max(max(row) for row in c) + 1
+        return state
+
     def make_gapped_state(self):
         # box 1 used at t=1 (dies at 1) and again at t=3: a gap at t=2
-        c = [[1], [2], [1]]
-        d = [[1], [2], [3]]
-        return MCMCState.from_tables(c, d, 1.0, 0.5, canonicalize=False)
+        return self.raw_state([[1], [2], [1]], [[1], [2], [3]])
 
     def test_contiguous_label_noop(self):
-        state = MCMCState.from_tables([[1], [1]], [[2], [2]], 1.0, 0.5, canonicalize=False)
+        state = self.raw_state([[1], [1]], [[2], [2]])
         before = [list(r) for r in state.c]
         relabel(state, 1, 2)
         assert state.c == before
