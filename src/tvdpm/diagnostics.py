@@ -45,6 +45,7 @@ from .urn import allocate_batch, delete_uniform  # noqa: F401
 __all__ = [
     "esf_distribution",
     "tv_distance",
+    "EsfMarginalReport",
     "esf_marginal_test",
     "ExpectedCountReport",
     "expected_count_check",
@@ -78,6 +79,15 @@ def tv_distance(p: dict, q: dict) -> float:
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
+@dataclass
+class EsfMarginalReport:
+    """The empirical partition law of one batch and its total-variation
+    distance to the exact Ewens law."""
+
+    tv: float
+    law: dict[tuple[int, ...], float]
+
+
 def esf_marginal_test(
     policy: DeletionPolicy,
     n: int,
@@ -85,17 +95,18 @@ def esf_marginal_test(
     t_check: int,
     n_mc: int,
     rng: np.random.Generator,
-) -> float:
-    """Total-variation distance between the empirical partition law of the
-    batch at t_check (over n_mc urn replicas) and the exact Ewens law."""
+) -> EsfMarginalReport:
+    """The empirical partition law of the batch at t_check (over n_mc urn
+    replicas) and its total-variation distance to the exact Ewens law."""
     if n > MAX_ESF_TEST_N:
         raise ValueError(f"enumeration-backed test capped at n = {MAX_ESF_TEST_N}")
+    if t_check < 1:
+        raise ValueError("t_check must be at least 1: the batch checked is the one drawn at t_check")
     ens = UrnEnsemble(n_mc, theta, policy)
-    ids = None
     for _ in range(t_check):
         ids = ens.step(n, rng)
-    empirical = batch_partition_distribution(ids)
-    return tv_distance(empirical, esf_distribution(n, theta))
+    law = batch_partition_distribution(ids)
+    return EsfMarginalReport(tv=tv_distance(law, esf_distribution(n, theta)), law=law)
 
 
 @dataclass
@@ -396,7 +407,8 @@ def run_validation_suite(seed: int, quick: bool = False) -> dict:
     """The library's statistical checks bundled into one report.
 
     Covers the ESF-marginal property for every deletion policy variant
-    (with a wrong-scale negative control), the one-step moment identities
+    (with a wrong-theta negative control, which reads the law the
+    uniform(0.7) check simulated), the one-step moment identities
     under uniform deletion (with a broken-formula negative control), the
     correlation-decay ordering in rho, and kernel stationarity (with a
     broken-noise negative control).  quick shrinks the Monte Carlo sizes
@@ -429,15 +441,13 @@ def run_validation_suite(seed: int, quick: bool = False) -> dict:
         ),
         "sliding_window(2)": SlidingWindow(2),
     }
-    for name, policy in policies.items():
-        tv = esf_marginal_test(policy, 5, 1.5, 20, n_mc_esf, rng)
-        record(f"esf-marginal/{name}", tv < tv_thresh, tv, tv_thresh, "max")
-    # negative control: the same simulation must not match a wrong theta
-    ens = UrnEnsemble(n_mc_esf, 1.5, UniformDeletion(0.7))
-    ids = None
-    for _ in range(20):
-        ids = ens.step(5, rng)
-    wrong = tv_distance(batch_partition_distribution(ids), esf_distribution(5, 3.0))
+    esf = {
+        name: esf_marginal_test(policy, 5, 1.5, 20, n_mc_esf, rng) for name, policy in policies.items()
+    }
+    for name, rep in esf.items():
+        record(f"esf-marginal/{name}", rep.tv < tv_thresh, rep.tv, tv_thresh, "max")
+    # negative control: the uniform check's law must not match a wrong theta
+    wrong = tv_distance(esf["uniform(0.7)"].law, esf_distribution(5, 3.0))
     record("esf-marginal/negative-control-wrong-theta", wrong > tv_thresh, wrong, tv_thresh, "min")
 
     n_mc_mom = 20_000 if quick else 100_000

@@ -18,7 +18,9 @@ column, and growth appends empty columns at the end, so no step moves a
 box.  Counts are held per age in one (depth, R, B) array of slots: index
 a < depth - 1 holds units born a batches ago, and the final overflow slot
 pools everything older (any in-range window kill removes the whole
-overflow, so pooling loses nothing).  Box locations, when the ensemble
+overflow, so pooling loses nothing).  The aggregate counts are the sum
+over the slots; with no sliding window there is one slot, and the
+aggregate is that slot itself (a view, not a copy).  Box locations, when the ensemble
 has a kernel, sit in an (R, B) array of the same layout; a kernel's
 `transition` steps a float or an array, so one call moves them all (free
 columns too).
@@ -89,7 +91,7 @@ class UrnEnsemble:
         self._depth = self._window + 2 if self._window else 1
         B = 16  # initial columns; `_ensure_capacity` grows them on demand
         self._slots = np.zeros((self._depth, self.R, B), dtype=np.int64)
-        self._agg = np.zeros((self.R, B), dtype=np.int64)
+        self._refresh_agg()
         self._rows = np.arange(self.R)
         self.kernel = kernel
         self._loc = None if kernel is None else np.zeros((self.R, B), dtype=np.float64)
@@ -124,14 +126,14 @@ class UrnEnsemble:
         return view
 
     def _refresh_agg(self) -> None:
-        # one slot: a copy is cheaper than a sum over it
-        self._agg = self._slots[0].copy() if self._depth == 1 else self._slots.sum(axis=0)
+        # one slot is the aggregate: a view, which every write keeps current
+        self._agg = self._slots[0] if self._depth == 1 else self._slots.sum(axis=0)
 
     def _grow(self, extra: int) -> None:
         if extra <= 0:
             return
         self._slots = np.pad(self._slots, ((0, 0), (0, 0), (0, extra)))
-        self._agg = np.pad(self._agg, ((0, 0), (0, extra)))
+        self._refresh_agg()
         if self._loc is not None:
             self._loc = np.pad(self._loc, ((0, 0), (0, extra)))
 
@@ -229,9 +231,14 @@ class UrnEnsemble:
         # with several draws a table of every unit's cell beats a search
         # per draw; for one draw the table costs more than the search
         cell = np.cumsum(np.bincount(ends)) if n > 1 else None
+        # the columns still free: a new box takes its row's first
+        free = agg == 0
         row_base = self._rows * B
-        # flat views: the count arrays are always C-contiguous
-        flat_counts = (agg.reshape(-1), self._slots[0].reshape(-1))
+        # flat views (the count arrays are always C-contiguous); with one
+        # slot the aggregate is slot 0, so only a window counts a draw twice
+        flat_counts = [agg.reshape(-1)]
+        if self._depth > 1:
+            flat_counts.append(self._slots[0].reshape(-1))
         ids = np.empty((n, R), dtype=np.int64)
         placed = np.empty((n, R), dtype=np.int64)
         for k in range(n):
@@ -247,10 +254,14 @@ class UrnEnsemble:
             else:
                 col = cell.take(unit, mode="clip") - row_base
             if k:
-                joined = on_draw.any(axis=0)
-                col[joined] = (ids[:k] * on_draw).sum(axis=0)[joined]
+                # a pick of an earlier draw (at most one per row, as the
+                # positions are distinct) joins that draw's box
+                drawn, rows = np.nonzero(on_draw)
+                col[rows] = ids[drawn, rows]
             opened = self._rows[fresh]
-            col[opened] = (agg[opened] == 0).argmax(axis=1)
+            new = free[opened].argmax(axis=1)
+            free[opened, new] = False
+            col[opened] = new
             if self._loc is not None:
                 draws = rng.normal(0.0, 1.0, size=R)
                 self._loc[opened, col[opened]] = draws[opened]

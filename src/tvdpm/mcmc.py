@@ -227,12 +227,15 @@ class MCMCState:
         return state
 
     def _place(self, label: int, k: int, t: int, death: int):
-        """Put unit (k, t), dying at `death`, into box `label`: the tables,
+        """Put unit (k, t), dying at `death` (t <= death <= T + 1, where
+        T + 1 is alive at the horizon), into box `label`: the tables,
         the box's unit set and the alive counts over its lifetime.  Every
         unit enters a box through here; statistics and locations are the
         caller's."""
         if death < t:
             raise ValueError(f"death time {death} before birth {t} at unit ({k}, {t})")
+        if death > self.T + 1:
+            raise ValueError(f"death time {death} past the horizon cap {self.T + 1} at unit ({k}, {t})")
         self.c[t - 1][k] = label
         self.d[t - 1][k] = death
         self.blocks.setdefault(label, set()).add((t, k))

@@ -66,7 +66,7 @@ def test_criterion_01_esf_stationarity():
     }
     start = time.time()
     tvs = {
-        name: esf_marginal_test(policy, 5, 1.5, 20, 200_000, rng)
+        name: esf_marginal_test(policy, 5, 1.5, 20, 200_000, rng).tv
         for name, policy in policies.items()
     }
     elapsed = time.time() - start

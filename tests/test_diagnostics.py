@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from tvdpm import diagnostics
 from tvdpm.diagnostics import (
     BrokenNoiseKernel,
     CorrelationCurve,
@@ -18,6 +19,7 @@ from tvdpm.diagnostics import (
     run_validation_suite,
     tv_distance,
 )
+from tvdpm.ensemble import UrnEnsemble
 from tvdpm.kernels import GaussianAR1, GaussianKnownVar, StaticKernel
 from tvdpm.urn import (
     ComposePolicy,
@@ -50,18 +52,30 @@ class TestEsfMarginalGrid:
 
         seed = zlib.crc32(f"{policy_name}/{n}/{t_check}".encode())
         rng = np.random.default_rng(seed)
-        tv = esf_marginal_test(ALL_POLICIES[policy_name], n, theta, t_check, 200_000, rng)
+        tv = esf_marginal_test(ALL_POLICIES[policy_name], n, theta, t_check, 200_000, rng).tv
         assert tv < 0.02
 
 
 class TestEsfMarginal:
     def test_full_deletion_matches_fresh_urn(self, rng):
-        tv = esf_marginal_test(UniformDeletion(0.0), 4, 1.0, 3, 20_000, rng)
+        tv = esf_marginal_test(UniformDeletion(0.0), 4, 1.0, 3, 20_000, rng).tv
         assert tv < 0.03
 
     def test_window_policy(self, rng):
-        tv = esf_marginal_test(SlidingWindow(2), 4, 1.0, 10, 20_000, rng)
+        tv = esf_marginal_test(SlidingWindow(2), 4, 1.0, 10, 20_000, rng).tv
         assert tv < 0.03
+
+    @pytest.mark.parametrize("t_check", [0, -1])
+    def test_t_check_below_one_rejected(self, t_check, rng):
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="t_check must be at least 1"):
+            esf_marginal_test(UniformDeletion(0.5), 4, 1.0, t_check, 100, rng)
+        assert rng.bit_generator.state == state
+
+    def test_report_holds_the_law(self, rng):
+        rep = esf_marginal_test(UniformDeletion(0.7), 4, 1.0, 3, 2_000, rng)
+        assert sum(rep.law.values()) == pytest.approx(1.0)
+        assert rep.tv == tv_distance(rep.law, esf_distribution(4, 1.0))
 
     def test_capacity_guard(self, rng):
         with pytest.raises(ValueError):
@@ -69,13 +83,7 @@ class TestEsfMarginal:
 
     def test_negative_control_wrong_theta(self, rng):
         # empirical law simulated at theta=1.5 must not match theta=3
-        from tvdpm.ensemble import UrnEnsemble, batch_partition_distribution
-
-        ens = UrnEnsemble(20_000, 1.5, UniformDeletion(0.7))
-        ids = None
-        for _ in range(10):
-            ids = ens.step(5, rng)
-        emp = batch_partition_distribution(ids)
+        emp = esf_marginal_test(UniformDeletion(0.7), 5, 1.5, 10, 20_000, rng).law
         assert tv_distance(emp, esf_distribution(5, 3.0)) > 0.1
 
 
@@ -297,12 +305,48 @@ class TestKolmogorov:
         assert tail == pytest.approx(oracles.reference_kolmogorov_sf(n, d), rel=1e-12)
 
 
-class TestValidationSuite:
-    def test_quick_suite_passes_within_budget(self):
+@pytest.fixture(scope="class")
+def quick_suite():
+    """One quick-suite run at the default seed, recording every ensemble it
+    builds (replicas, theta) and every ESF report it reads."""
+    built, esf_reports = [], []
+    init, esf = UrnEnsemble.__init__, diagnostics.esf_marginal_test
+
+    def counting_init(self, n_replicates, theta, *args, **kwargs):
+        built.append((n_replicates, theta))
+        init(self, n_replicates, theta, *args, **kwargs)
+
+    def recording_esf(*args, **kwargs):
+        esf_reports.append(esf(*args, **kwargs))
+        return esf_reports[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(UrnEnsemble, "__init__", counting_init)
+        mp.setattr(diagnostics, "esf_marginal_test", recording_esf)
         start = time.time()
         report = run_validation_suite(20240901, quick=True)
         elapsed = time.time() - start
+    return report, elapsed, built, esf_reports
+
+
+class TestValidationSuite:
+    def test_quick_suite_passes_within_budget(self, quick_suite):
+        report, elapsed, _, _ = quick_suite
         assert report["passed"], [c for c in report["checks"] if not c["passed"]]
         assert elapsed < 60.0
         names = {c["name"] for c in report["checks"]}
         assert any("negative-control" in n for n in names)
+
+    def test_quick_suite_simulates_each_esf_law_once(self, quick_suite):
+        # five ESF ensembles at theta = 1.5, one per policy: the wrong-theta
+        # control builds none of its own
+        report, _, built, esf_reports = quick_suite
+        assert len(report["checks"]) == 15
+        assert built.count((20_000, 1.5)) == 5 == len(esf_reports)
+        assert [c["value"] for c in report["checks"][:5]] == [r.tv for r in esf_reports]
+
+    def test_wrong_theta_control_reads_the_uniform_law(self, quick_suite):
+        report, _, _, esf_reports = quick_suite
+        checks = {c["name"]: c for c in report["checks"]}
+        control = checks["esf-marginal/negative-control-wrong-theta"]["value"]
+        assert control == tv_distance(esf_reports[0].law, esf_distribution(5, 3.0))

@@ -198,6 +198,39 @@ def test_boxes_keep_their_columns_across_growth(rng):
     np.testing.assert_array_equal(ens._loc[:, :16][alive], loc[alive])
 
 
+def assert_counts_is_slot_view(ens):
+    # one age slot: the aggregate is the slot itself, read-only through counts
+    assert len(ens._slots) == 1
+    assert ens.counts.shape == ens._slots[0].shape
+    assert np.shares_memory(ens.counts, ens._slots[0])
+    with pytest.raises(ValueError):
+        ens.counts[0, 0] = 1
+
+
+def test_one_slot_counts_is_the_slot(rng):
+    ens = UrnEnsemble(50, 5.0, UniformDeletion(0.5))
+    assert_counts_is_slot_view(ens)
+    ens.step(20, rng)  # wider than the 16 initial columns: growth
+    assert ens.columns > 16
+    assert_counts_is_slot_view(ens)
+    ens._grow(8)
+    assert_counts_is_slot_view(ens)
+    assert (ens.counts.sum(axis=1) > 0).all()
+    given = UrnEnsemble.from_counts(10, 1.0, SizeBiasedDeletion(), [2] * 20)
+    assert_counts_is_slot_view(given)
+    np.testing.assert_array_equal(given.counts, np.full((10, 20), 2))
+
+
+@pytest.mark.parametrize("name", ["window-3", "window-1+uniform"])
+def test_window_counts_sum_the_slots(name, rng):
+    ens = UrnEnsemble(50, 5.0, REFERENCE_POLICIES[name])
+    for n in (20, 3, 30, 1, 4):  # two growths
+        ens.step(n, rng)
+        assert len(ens._slots) > 1 and not np.shares_memory(ens.counts, ens._slots)
+        np.testing.assert_array_equal(ens.counts, ens._slots.sum(axis=0))
+    assert ens.columns > 20
+
+
 @pytest.mark.parametrize("R", [0, -1])
 def test_no_replicas_rejected(R):
     with pytest.raises(ValueError, match="n_replicates"):

@@ -138,6 +138,13 @@ class TestPriorSimulation:
         with pytest.raises(ValueError, match=r"death time 1 before birth 2 at unit \(1, 2\)"):
             MCMCState.from_tables([[1, 1], [1, 2]], [[2, 2], [2, 1]], 1.0, 0.5)
 
+    def test_from_tables_rejects_death_past_horizon(self):
+        # T = 2: a unit alive at the horizon dies at T + 1 = 3, never later
+        with pytest.raises(ValueError, match=r"death time 9 past the horizon cap 3 at unit \(0, 2\)"):
+            MCMCState.from_tables([[1], [1]], [[3], [9]], 1.0, 0.5)
+        state = MCMCState.from_tables([[1], [1]], [[3], [3]], 1.0, 0.5)
+        assert state.d == [[3], [3]]
+
 
 PRIOR_DRAWS = 100_000
 
