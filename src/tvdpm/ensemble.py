@@ -36,11 +36,13 @@ work, never different draws:
   thrown away).  NumPy's binomial returns 0 for n = 0 without touching the
   stream, so the numbers are the same.
 - An allocation draw takes one uniform u per replica (and, with locations,
-  one normal per replica).  With the row's boxes laid end to end in column
-  order, u picks the box of unit floor(u), or a new box when u is past the
-  row's mass: the same box as counting the running column sums <= u, as
-  those sums are integers.  Finding that unit by a search instead of a scan
-  over every column reads nothing more from the generator.
+  one normal per replica), scaled by M + k + theta for draw k of a batch,
+  M the row's mass before the batch.  u < M picks the box of old unit
+  floor(u), with the row's boxes laid end to end in column order as they
+  were before the batch: the same box as counting the running column sums
+  <= u, as those sums are integers, and a search finds it reading nothing
+  more from the generator.  M <= u < M + k joins the box of earlier draw
+  floor(u) - M, and a larger u opens a new box.
 """
 
 from __future__ import annotations
@@ -222,11 +224,10 @@ class UrnEnsemble:
         self._ensure_capacity(n)
         agg = self._agg
         R, B = agg.shape
-        # Draw k picks unit floor(u) of its row, the row's units laid end to
-        # end in column order.  The k earlier draws of the batch sit among
-        # the row's old units at positions `placed`, so a pick lands either
-        # on one of those or on old unit floor(u) - (earlier draws below
-        # it), which the layout of the counts before the batch locates.
+        # Draw k scales u by M + k + theta, M the row's mass before the
+        # batch: u < M picks an old unit in the pre-batch layout, the next k
+        # are the batch's earlier draws, the rest a new box.  Each unit is
+        # equally likely to be copied, so that order changes no law.
         ends, start, total = self._laid_out()
         # with several draws a table of every unit's cell beats a search
         # per draw; for one draw the table costs more than the search
@@ -240,41 +241,26 @@ class UrnEnsemble:
         if self._depth > 1:
             flat_counts.append(self._slots[0].reshape(-1))
         ids = np.empty((n, R), dtype=np.int64)
-        placed = np.empty((n, R), dtype=np.int64)
         for k in range(n):
-            u = rng.random(R) * (total + self.theta)
-            fresh = u >= total
+            u = rng.random(R) * (total + k + self.theta)
             unit = u.astype(np.int64)
-            if k:
-                on_draw = placed[:k] == unit
-                unit -= (placed[:k] < unit).sum(axis=0)
-            unit += start
             if cell is None:
-                col = np.searchsorted(ends, unit, side="right") - row_base
+                col = np.searchsorted(ends, start + unit, side="right") - row_base
             else:
-                col = cell.take(unit, mode="clip") - row_base
-            if k:
-                # a pick of an earlier draw (at most one per row, as the
-                # positions are distinct) joins that draw's box
-                drawn, rows = np.nonzero(on_draw)
-                col[rows] = ids[drawn, rows]
-            opened = self._rows[fresh]
+                col = cell.take(start + unit, mode="clip") - row_base
+            drawn = unit - total
+            rows = np.flatnonzero((drawn >= 0) & (drawn < k))
+            col[rows] = ids[drawn[rows], rows]
+            opened = self._rows[drawn >= k]
             new = free[opened].argmax(axis=1)
             free[opened, new] = False
             col[opened] = new
             if self._loc is not None:
                 draws = rng.normal(0.0, 1.0, size=R)
                 self._loc[opened, col[opened]] = draws[opened]
-            cells = row_base + col
-            if k < n - 1:
-                # this draw goes after every unit in columns <= col
-                at = ends.take(cells) - start + (ids[:k] <= col).sum(axis=0)
-                placed[:k] += placed[:k] >= at
-                placed[k] = at
             for flat in flat_counts:
-                flat[cells] += 1
+                flat[row_base + col] += 1
             ids[k] = col
-            total += 1
         self.time += 1
         return ids.T.copy()
 

@@ -393,12 +393,17 @@ def _records(path, key: str):
 
 def read_observation_batches(path) -> list[ObservationBatch]:
     """Read JSON-lines {"t": int, "values": [...]} into batches; values must
-    be finite numbers."""
+    be finite numbers whose squares are finite too (the models' sufficient
+    statistics and posteriors square them)."""
     out = []
     for t, values in _records(path, "values"):
         for z in values:
-            if type(z) not in (int, float) or not math.isfinite(z):
-                raise DataError(f"value {z!r} at t={t} is not a finite number")
+            try:
+                ok = type(z) in (int, float) and math.isfinite(float(z) ** 2)
+            except OverflowError:  # an int past float range, or a huge square
+                ok = False
+            if not ok:
+                raise DataError(f"value {z!r} at t={t} is not a finite number with a finite square")
         out.append(ObservationBatch(time=t, values=tuple(values)))
     return _in_time_order(out)
 

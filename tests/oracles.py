@@ -875,9 +875,11 @@ def reference_log_marginal_likelihood(state) -> float:
     return out
 
 
-# -- the replica bank before its step drew only what the draws need, kept
-# verbatim as the reference `tvdpm.ensemble.UrnEnsemble` is pinned against
-# (equal ids, arrays and generator state after every step).
+# -- the replica bank as plain whole-array steps, the reference
+# `tvdpm.ensemble.UrnEnsemble` is pinned against (equal ids, arrays and
+# generator state after every step).  Draw k of a batch reads the pre-batch
+# counts' running sums for u < M (M the row's mass before the batch), earlier
+# draw floor(u) - M for u < M + k, and a new box past that.
 
 
 class ReferenceUrnEnsemble:
@@ -1000,12 +1002,15 @@ class ReferenceUrnEnsemble:
         agg = self._agg
         current = self._slots[0]
         ids = np.empty((self.R, n), dtype=np.int64)
+        total = agg.sum(axis=1)
+        cum = np.cumsum(agg, axis=1)
         for k in range(n):
-            total = agg.sum(axis=1)
-            u = rng.random(self.R) * (total + self.theta)
-            cum = np.cumsum(agg, axis=1)
+            u = rng.random(self.R) * (total + k + self.theta)
             col = (u[:, None] >= cum).sum(axis=1)
-            fresh = u >= total
+            drawn = u.astype(np.int64) - total
+            earlier = (drawn >= 0) & (drawn < k)
+            col[earlier] = ids[self._rows[earlier], drawn[earlier]]
+            fresh = u >= total + k
             free = (agg == 0).argmax(axis=1)
             col = np.where(fresh, free, np.minimum(col, self.columns - 1))
             if self._loc is not None:

@@ -71,14 +71,17 @@ class TestConfig:
         assert build_policy({"type": "uniform", "rho": 0.4}) == UniformDeletion(0.4)
 
 
-def write_stream(tmp_path, records):
+def write_stream(tmp_path, records, command="smc"):
     data = tmp_path / "data.jsonl"
     data.write_text("".join(json.dumps(r) + "\n" for r in records))
     cfg = json.loads(json.dumps(GOOD_CONFIG))
     cfg["data"] = {"path": str(data)}
+    if command == "mcmc":
+        cfg["policy"] = {"type": "uniform", "rho": 0.4}
+        cfg["inference"] = {"method": "mcmc", "rho": 0.4, "sweeps": 1}
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(cfg))
-    return ["smc", "--config", str(cfg_path), "--out", str(tmp_path / "o.jsonl")]
+    return [command, "--config", str(cfg_path), "--out", str(tmp_path / "o.jsonl")]
 
 
 def write_corpus(tmp_path, records):
@@ -680,6 +683,18 @@ class TestBadData:
         code, _, err = run_cli(args)
         assert code == 2
         assert err.startswith("error: ") and "not a finite number" in err and "t=2" in err
+
+    @pytest.mark.parametrize("command", ["smc", "mcmc"])
+    @pytest.mark.parametrize(
+        "value", [1e160, 10**400, 10**155], ids=["float-square", "int-past-float", "int-square"]
+    )
+    def test_value_or_its_square_overflows(self, tmp_path, command, value):
+        # each ended in an OverflowError traceback: the posterior's squared
+        # deviation, float conversion in the reader, the statistics' z * z
+        code, _, err = run_cli(write_stream(tmp_path, [{"t": 1, "values": [value]}], command))
+        assert code == 2
+        assert err.startswith("error: ") and "not a finite number" in err and "t=1" in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("word", [1.5, True, "1"], ids=["float", "bool", "text"])
     def test_word_id_not_an_integer(self, tmp_path, word):

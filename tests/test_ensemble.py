@@ -128,6 +128,33 @@ def test_given_boxes_keep_their_columns(rng):
         ens.counts[0, 0] = 0
 
 
+class _Uniforms:
+    """A generator stand-in whose `random(size)` returns the given uniforms
+    in turn, one for every replica."""
+
+    def __init__(self, *values):
+        self._values = iter(values)
+
+    def random(self, size):
+        return np.full(size, next(self._values))
+
+
+@pytest.mark.parametrize(
+    "second,col", [(0.5, 1), (0.7, 0), (0.9, 2)], ids=["old-unit", "earlier-draw", "new-box"]
+)
+def test_batch_draws_read_the_pre_batch_layout(second, col):
+    # mass 3 in boxes (2, 1), theta 1: draw 1 scales its uniform by 4 and
+    # lands on unit 1, in column 0.  Draw 2 scales by 5: unit 2 is the old
+    # unit in column 1 (not draw 1, though draw 1 joined column 0), unit 3 is
+    # draw 1, and past 4 is a new box in the first free column
+    ens = UrnEnsemble.from_counts(1, 1.0, UniformDeletion(1.0), (2, 1))
+    ids = ens.allocate(2, _Uniforms(0.25, second))
+    np.testing.assert_array_equal(ids, [[0, col]])
+    expected = [3, 1, 0]
+    expected[col] += 1
+    np.testing.assert_array_equal(ens.counts[0, :3], expected)
+
+
 def test_from_counts_rejects():
     with pytest.raises(ValueError, match="positive"):
         UrnEnsemble.from_counts(10, 1.0, UniformDeletion(0.5), (2, 0))
