@@ -12,7 +12,7 @@ from importlib import resources
 
 import numpy as np
 
-from .kernels import GaussianAR1, GaussianKnownVar, NormalInverseGamma, StaticKernel, SymmetricDirichlet
+from .kernels import GaussianAR1, GaussianKnownVar, NormalInverseGamma, SymmetricDirichlet
 from .mcmc import MCMCState
 from .models import GaussianModel, KnownVarGaussianModel, TopicModel
 from .smc import FilterConfig, RhoWalk
@@ -109,18 +109,6 @@ def build_model(spec: dict):
     raise ConfigError(f"unknown model type {kind!r}")
 
 
-def build_kernel(spec: dict | None, model):
-    if spec is None or spec["type"] == "static":
-        return StaticKernel()
-    if spec["type"] == "ar1":
-        if not isinstance(model, KnownVarGaussianModel) or not isinstance(
-            model.base, GaussianKnownVar
-        ):
-            raise ConfigError("ar1 kernel needs the known-variance Gaussian model")
-        return GaussianAR1(spec.get("phi", 0.9), model.base)
-    raise ConfigError(f"unknown kernel type {spec['type']!r}")
-
-
 def build_filter_config(cfg: ExperimentConfig) -> FilterConfig:
     inf = cfg.inference
     if inf["method"] != "smc":
@@ -133,8 +121,11 @@ def build_filter_config(cfg: ExperimentConfig) -> FilterConfig:
         else None
     )
     policy = build_policy(cfg.policy)
-    if policy_uses_walk(policy) and walk is None:
+    uses_walk = policy_uses_walk(policy)
+    if uses_walk and walk is None:
         raise ConfigError("policy references the rho walk but inference.rho_walk is missing")
+    if walk is not None and not uses_walk:
+        raise ConfigError('inference.rho_walk is given but no policy leaf has "rho": "walk"')
     if cfg.model["type"] == "topic" and grid is not None:
         raise ConfigError("density estimation (inference.grid) needs a Gaussian observation model")
     return FilterConfig(
@@ -155,20 +146,21 @@ def build_sampler(cfg: ExperimentConfig, observations, rng: np.random.Generator)
     if inf["method"] != "mcmc":
         raise ConfigError("inference.method must be 'mcmc' for the sampler")
     model = build_model(cfg.model)
-    kernel = build_kernel(inf.get("kernel"), model)
     if cfg.policy["type"] != "uniform" or cfg.policy["rho"] == "walk":
         raise ConfigError("mcmc supports the fixed-rho uniform deletion policy only")
     if cfg.policy["rho"] != inf["rho"]:
         raise ConfigError(
             f"policy.rho ({cfg.policy['rho']}) and inference.rho ({inf['rho']}) disagree"
         )
+    # the AR1 kernel leaves the model's base invariant: the mode and phi fix it
     mode = inf.get("mode", "collapsed")
-    kind = inf.get("kernel", {"type": "static"})["type"]
-    if (mode == "ar1") != (kind == "ar1"):
-        raise ConfigError(
-            f'"mode": "{mode}" with the {kind} kernel: mcmc needs an ar1 '
-            'inference.kernel exactly in "mode": "ar1"'
-        )
+    kernel = None
+    if mode == "ar1":
+        if not isinstance(model, KnownVarGaussianModel):
+            raise ConfigError('"mode": "ar1" needs the known-variance Gaussian model')
+        kernel = GaussianAR1(inf.get("kernel", {}).get("phi", 0.9), model.base)
+    elif "kernel" in inf:
+        raise ConfigError(f'inference.kernel is for "mode": "ar1" only, not "mode": "{mode}"')
     n = len(observations[0])
     if any(len(row) != n for row in observations):
         raise ConfigError("mcmc expects the same batch size at every time step")

@@ -91,7 +91,7 @@ class UrnEnsemble:
         # Age slots: [current batch, 1 ago, ..., window ago, overflow]; a
         # single slot suffices when no sliding window can ever fire.
         self._depth = self._window + 2 if self._window else 1
-        B = 16  # initial columns; `_ensure_capacity` grows them on demand
+        B = 16  # initial columns; `allocate` grows them on demand
         self._slots = np.zeros((self._depth, self.R, B), dtype=np.int64)
         self._refresh_agg()
         self._rows = np.arange(self.R)
@@ -138,11 +138,6 @@ class UrnEnsemble:
         self._refresh_agg()
         if self._loc is not None:
             self._loc = np.pad(self._loc, ((0, 0), (0, extra)))
-
-    def _ensure_capacity(self, n: int) -> None:
-        free = (self._agg == 0).sum(axis=1).min()
-        if free < n:
-            self._grow(max(n - free, self.columns // 2, 8))
 
     # -- deletion phase -----------------------------------------------------
 
@@ -221,7 +216,13 @@ class UrnEnsemble:
         equal columns within a row mean same box.
         """
         _check_batch(n)
-        self._ensure_capacity(n)
+        # the columns still free: a new box takes its row's first, and the
+        # batch may open n in a row
+        free = self._agg == 0
+        short = n - free.sum(axis=1).min()
+        if short > 0:
+            self._grow(max(short, self.columns // 2, 8))
+            free = self._agg == 0
         agg = self._agg
         R, B = agg.shape
         # Draw k scales u by M + k + theta, M the row's mass before the
@@ -232,8 +233,6 @@ class UrnEnsemble:
         # with several draws a table of every unit's cell beats a search
         # per draw; for one draw the table costs more than the search
         cell = np.cumsum(np.bincount(ends)) if n > 1 else None
-        # the columns still free: a new box takes its row's first
-        free = agg == 0
         row_base = self._rows * B
         # flat views (the count arrays are always C-contiguous); with one
         # slot the aggregate is slot 0, so only a window counts a draw twice

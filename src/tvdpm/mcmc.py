@@ -83,7 +83,7 @@ class MCMCState:
     mode is one of "collapsed" (locations integrated out; static kernel +
     conjugate model), "static" (one explicit shared location per box), or
     "ar1" (a location per box and alive time, moved by a GaussianAR1
-    kernel).
+    kernel over the model's base).
     """
 
     def __init__(
@@ -108,6 +108,11 @@ class MCMCState:
             raise ValueError("mode must be collapsed, static or ar1")
         if mode == "ar1" and not isinstance(kernel, GaussianAR1):
             raise ValueError("ar1 mode needs a GaussianAR1 kernel")
+        if mode != "ar1" and kernel not in (None, StaticKernel()):
+            raise ValueError(f"{mode} mode keeps locations static: it takes no {kernel!r}")
+        # the moves read both bases: the kernel's must be the model's
+        if mode == "ar1" and model is not None and kernel.base != model.base:
+            raise ValueError(f"the kernel's base {kernel.base!r} is not the model's {model.base!r}")
         if mode == "static" and model is None:
             raise ValueError("static explicit-location mode needs a model")
         if observations is not None and model is None:

@@ -393,17 +393,22 @@ def _records(path, key: str):
 
 def read_observation_batches(path) -> list[ObservationBatch]:
     """Read JSON-lines {"t": int, "values": [...]} into batches; values must
-    be finite numbers whose squares are finite too (the models' sufficient
-    statistics and posteriors square them)."""
+    be finite numbers whose squares are finite too, and so must the sum of
+    all the squares (the models' sufficient statistics and posteriors square
+    them and add them up, and no box holds more than the whole stream)."""
     out = []
+    squares = 0.0
     for t, values in _records(path, "values"):
         for z in values:
             try:
-                ok = type(z) in (int, float) and math.isfinite(float(z) ** 2)
+                ok = type(z) in (int, float) and math.isfinite(square := float(z) ** 2)
             except OverflowError:  # an int past float range, or a huge square
                 ok = False
             if not ok:
                 raise DataError(f"value {z!r} at t={t} is not a finite number with a finite square")
+            squares += square
+        if not math.isfinite(squares):
+            raise DataError(f"the sum of the squared values overflows at t={t}")
         out.append(ObservationBatch(time=t, values=tuple(values)))
     return _in_time_order(out)
 

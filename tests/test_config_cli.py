@@ -387,6 +387,20 @@ class TestCli:
         assert code == 2
         assert "smc only" in err
 
+    def test_smc_unused_rho_walk_is_usage_error(self, tmp_path):
+        # the filter stepped a walk that no deletion read
+        args = write_stream(tmp_path, [{"t": 1, "values": [0.1]}])
+        cfg_path = pathlib.Path(args[2])
+        cfg = json.loads(cfg_path.read_text())
+        cfg["policy"] = {"type": "uniform", "rho": 0.9}
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(args)
+        assert code == 2 and err.startswith("error: ") and "inference.rho_walk" in err
+        assert not (tmp_path / "o.jsonl").exists()
+        del cfg["inference"]["rho_walk"]
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(args)[0] == 0
+
     def _smc_topic_config(self, tmp_path):
         args = write_corpus(tmp_path, [{"t": 1, "words": [0, 3]}, {"t": 2, "words": [1, 1]}])
         cfg_path = tmp_path / "m.json"
@@ -421,15 +435,18 @@ class TestCli:
     @pytest.mark.parametrize(
         "inference,named",
         [
-            ({"mode": "ar1"}, '"mode": "ar1" with the static kernel'),
-            ({"mode": "ar1", "kernel": {"type": "static"}}, '"mode": "ar1" with the static kernel'),
-            ({"kernel": {"type": "ar1"}}, '"mode": "collapsed" with the ar1 kernel'),
-            ({"mode": "static", "kernel": {"type": "ar1"}}, '"mode": "static" with the ar1 kernel'),
+            # the mode builds the kernel: ar1 without one takes phi = 0.9
+            ({"mode": "ar1"}, None),
+            # the kernel has no type field any more
+            ({"mode": "ar1", "kernel": {"type": "static"}}, "'type' was unexpected) (at inference.kernel)"),
+            ({"mode": "ar1", "kernel": {"type": "ar1", "phi": 0.5}}, "'type' was unexpected) (at inference.kernel)"),
+            ({"kernel": {"phi": 0.5}}, 'inference.kernel is for "mode": "ar1" only, not "mode": "collapsed"'),
+            ({"mode": "static", "kernel": {"phi": 0.5}}, 'inference.kernel is for "mode": "ar1" only, not "mode": "static"'),
             ({"rho": 0.9}, "policy.rho (0.4) and inference.rho (0.9) disagree"),
-            ({"mode": "ar1", "kernel": {"type": "ar1", "phi": 0.5}}, None),
+            ({"mode": "ar1", "kernel": {"phi": 0.5}}, None),
             ({"mode": "static"}, None),
         ],
-        ids=["ar1-no-kernel", "ar1-static-kernel", "collapsed-ar1-kernel", "static-ar1-kernel",
+        ids=["ar1-no-kernel", "ar1-static-kernel", "ar1-type-field", "collapsed-ar1-kernel", "static-ar1-kernel",
              "rho-mismatch", "ar1-ok", "static-ok"],
     )
     def test_mcmc_inconsistent_config_is_usage_error(self, tmp_path, inference, named):
@@ -454,6 +471,18 @@ class TestCli:
         else:
             assert code == 2 and err.startswith("error: ") and named in err
             assert not out.exists()
+
+    def test_mcmc_ar1_needs_known_variance_model(self, tmp_path):
+        args = write_stream(tmp_path, [{"t": 1, "values": [0.1]}, {"t": 2, "values": [0.3]}], "mcmc")
+        cfg_path = pathlib.Path(args[2])
+        cfg = json.loads(cfg_path.read_text())
+        assert cfg["model"]["type"] == "gaussian_nig"
+        cfg["inference"]["mode"] = "ar1"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(args)
+        assert code == 2 and err.startswith("error: ")
+        assert '"mode": "ar1" needs the known-variance Gaussian model' in err
+        assert not (tmp_path / "o.jsonl").exists()
 
     def test_mcmc_rejects_smc_config(self, tmp_path):
         args = write_stream(tmp_path, [{"t": 1, "values": [0.1]}])
@@ -695,6 +724,24 @@ class TestBadData:
         assert code == 2
         assert err.startswith("error: ") and "not a finite number" in err and "t=1" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["smc", "mcmc"])
+    def test_sum_of_squares_overflows(self, tmp_path, command):
+        # each square is finite but their sum is not: mcmc wrote a NaN and
+        # then -Infinity loglik, smc a NaN density
+        records = [{"t": 1, "values": [0.5]}, {"t": 2, "values": [1e154, 1e154]}]
+        code, _, err = run_cli(write_stream(tmp_path, records, command))
+        assert code == 2
+        assert err.startswith("error: ") and "sum of the squared values" in err and "t=2" in err
+        assert not (tmp_path / "o.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["smc", "mcmc"])
+    @pytest.mark.parametrize("values", [[1.3e154], [9e153, 1e153]], ids=["one", "two"])
+    def test_sum_of_squares_near_the_limit_runs(self, tmp_path, command, values):
+        code, _, err = run_cli(write_stream(tmp_path, [{"t": 1, "values": values}], command))
+        assert code == 0, err
+        text = (tmp_path / "o.jsonl").read_text()
+        assert "NaN" not in text and "Infinity" not in text
 
     @pytest.mark.parametrize("word", [1.5, True, "1"], ids=["float", "bool", "text"])
     def test_word_id_not_an_integer(self, tmp_path, word):

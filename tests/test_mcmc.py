@@ -12,6 +12,7 @@ from tvdpm.kernels import (
     GaussianAR1,
     GaussianKnownVar,
     NormalInverseGamma,
+    StaticKernel,
     SymmetricDirichlet,
 )
 from tvdpm.models import GaussianModel, KnownVarGaussianModel, TopicModel, stats_of
@@ -568,6 +569,26 @@ class TestLocations:
         assert first.locs == again.locs
         with pytest.raises(ValueError, match="rng"):
             MCMCState.from_tables(*tables, **kwargs)
+
+    @pytest.mark.parametrize("mode", ["collapsed", "static"])
+    def test_static_modes_reject_a_moving_kernel(self, rng, mode):
+        # the kernel was taken and never read
+        base = GaussianKnownVar(0.0, 1.0)
+        model = KnownVarGaussianModel(base, 1.0)
+        with pytest.raises(ValueError, match="takes no GaussianAR1"):
+            MCMCState.from_prior(2, 2, 1.0, 0.5, rng, model=model, mode=mode, kernel=GaussianAR1(0.8, base))
+        MCMCState.from_prior(2, 2, 1.0, 0.5, rng, model=model, mode=mode, kernel=StaticKernel())
+
+    def test_ar1_kernel_base_must_be_the_models(self, rng):
+        # the birth prior read the kernel's base, the posterior draws the model's
+        model = KnownVarGaussianModel(GaussianKnownVar(0.0, 1.0), 1.0)
+        with pytest.raises(ValueError, match="is not the model's"):
+            MCMCState.from_prior(
+                2, 2, 1.0, 0.5, rng, model=model, mode="ar1", kernel=GaussianAR1(0.8, GaussianKnownVar(0.0, 2.0))
+            )
+        MCMCState.from_prior(
+            2, 2, 1.0, 0.5, rng, model=model, mode="ar1", kernel=GaussianAR1(0.8, GaussianKnownVar(0.0, 1.0))
+        )
 
     def test_ar1_no_data_marginal_stays_base(self, rng):
         # prior-invariance of the location bridge moves
