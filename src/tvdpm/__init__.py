@@ -20,7 +20,6 @@ from .urn import (
     step,
 )
 from .kernels import (
-    FiniteAtomic,
     GaussianAR1,
     GaussianKnownVar,
     NormalInverseGamma,

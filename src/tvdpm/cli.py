@@ -175,9 +175,10 @@ def cmd_smc(args) -> int:
 
 
 def _sweep_records(state, rng, inf: dict, ckpt_path):
-    """One record per sweep; with a checkpoint path, every
-    `checkpoint_every`-th record is followed by a checkpoint file."""
-    every = inf.get("checkpoint_every", 0)
+    """One record per sweep; with a checkpoint path (the config then has a
+    positive `checkpoint_every`), every `checkpoint_every`-th record is
+    followed by a checkpoint file."""
+    every = inf.get("checkpoint_every")
     for s in range(1, inf["sweeps"] + 1):
         sweep(state, rng)
         yield {
@@ -185,7 +186,7 @@ def _sweep_records(state, rng, inf: dict, ckpt_path):
             "K_alive_per_t": state.alive_boxes_per_time(),
             "loglik": state.log_marginal_likelihood(),
         }
-        if every and ckpt_path and s % every == 0:
+        if ckpt_path and s % every == 0:
             with open(f"{ckpt_path}.sweep{s}.json", "w") as fh:
                 json.dump(dict(state.to_checkpoint(), sweep=s, rng_state=rng.bit_generator.state), fh)
 

@@ -128,6 +128,8 @@ def build_filter_config(cfg: ExperimentConfig) -> FilterConfig:
         raise ConfigError('inference.rho_walk is given but no policy leaf has "rho": "walk"')
     if cfg.model["type"] == "topic" and grid is not None:
         raise ConfigError("density estimation (inference.grid) needs a Gaussian observation model")
+    if "checkpoint_path" in (cfg.output or {}):
+        raise ConfigError("output.checkpoint_path is for mcmc only: smc writes no checkpoint")
     return FilterConfig(
         n_particles=inf["n_particles"],
         theta=cfg.theta,
@@ -161,6 +163,13 @@ def build_sampler(cfg: ExperimentConfig, observations, rng: np.random.Generator)
         kernel = GaussianAR1(inf.get("kernel", {}).get("phi", 0.9), model.base)
     elif "kernel" in inf:
         raise ConfigError(f'inference.kernel is for "mode": "ar1" only, not "mode": "{mode}"')
+    # a checkpoint needs both its period and its path
+    every = inf.get("checkpoint_every", 0)
+    has_path = "checkpoint_path" in (cfg.output or {})
+    if every and not has_path:
+        raise ConfigError("inference.checkpoint_every is given but output.checkpoint_path is missing")
+    if has_path and not every:
+        raise ConfigError("output.checkpoint_path is given but inference.checkpoint_every is not positive")
     n = len(observations[0])
     if any(len(row) != n for row in observations):
         raise ConfigError("mcmc expects the same batch size at every time step")

@@ -4,26 +4,24 @@ A box keeps its parameter trajectory for as long as it lives: a fresh base
 draw at birth, then one kernel transition per step.  Every shipped kernel
 leaves its base measure invariant, which is what keeps the mixture model
 marginally stationary; `diagnostics.kernel_stationarity_test` checks that
-property by simulation for any kernel/base pair, so new kernels only need
-a `transition` method.  `transition` steps a float or an array: m values
-in one array move exactly as m float calls would, draw for draw.
+property by simulation for a kernel over a `GaussianKnownVar` base (the
+only base it takes), so new kernels over that base only need a
+`transition` method.  `transition` steps a float or an array: m values in
+one array move exactly as m float calls would, draw for draw.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-
-from .partitions import sample_categorical
 
 __all__ = [
     "NormalInverseGamma",
     "GaussianKnownVar",
     "SymmetricDirichlet",
-    "FiniteAtomic",
     "BaseMeasure",
     "StaticKernel",
     "GaussianAR1",
@@ -72,24 +70,7 @@ class SymmetricDirichlet:
             raise ValueError("vocab_size must be >= 2")
 
 
-@dataclass(frozen=True)
-class FiniteAtomic:
-    """Discrete base measure on a fixed set of scalar atoms."""
-
-    atoms: tuple[float, ...]
-    weights: tuple[float, ...] = field(default=())
-
-    def __post_init__(self):
-        if not self.atoms:
-            raise ValueError("need at least one atom")
-        w = self.weights or tuple(1.0 / len(self.atoms) for _ in self.atoms)
-        if len(w) != len(self.atoms) or any(x <= 0 for x in w):
-            raise ValueError("weights must be positive and match atoms")
-        total = sum(w)
-        object.__setattr__(self, "weights", tuple(x / total for x in w))
-
-
-BaseMeasure = Union[NormalInverseGamma, GaussianKnownVar, SymmetricDirichlet, FiniteAtomic]
+BaseMeasure = Union[NormalInverseGamma, GaussianKnownVar, SymmetricDirichlet]
 
 
 def sample_base(base: BaseMeasure, rng: np.random.Generator):
@@ -103,8 +84,6 @@ def sample_base(base: BaseMeasure, rng: np.random.Generator):
     if isinstance(base, SymmetricDirichlet):
         alpha = np.full(base.vocab_size, base.theta_v / base.vocab_size)
         return rng.dirichlet(alpha)
-    if isinstance(base, FiniteAtomic):
-        return float(base.atoms[sample_categorical(base.weights, rng)])
     raise TypeError(f"unknown base measure {base!r}")
 
 

@@ -1,15 +1,14 @@
 """Observation models with conjugate posterior and predictive machinery.
 
 Three mixed densities are shipped: a Gaussian with NormalInverseGamma base
-(locations are (mean, variance) pairs), a known-variance Gaussian whose
-base is either a Normal prior or a finite atomic measure, and a multinomial
-word model with symmetric Dirichlet base.  Each model exposes the same
-surface: pointwise log-likelihood (at one location, or at m stacked ones
-in one call), exact conjugate posterior sampling, and the collapsed
-predictive used by the Gibbs sampler, plus an incremental
-sufficient-statistics API so samplers can add/remove single observations in
-O(1).  Every Gaussian model, whatever its base, keeps one statistic:
-[count, sum, sum of squares].
+(locations are (mean, variance) pairs), a known-variance Gaussian with a
+Normal prior over its mean, and a multinomial word model with symmetric
+Dirichlet base.  Each model exposes the same surface: pointwise
+log-likelihood (at one location, or at m stacked ones in one call), exact
+conjugate posterior sampling, and the collapsed predictive used by the
+Gibbs sampler, plus an incremental sufficient-statistics API so samplers
+can add/remove single observations in O(1).  Both Gaussian models keep one
+statistic: [count, sum, sum of squares].
 """
 
 from __future__ import annotations
@@ -20,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (
-    FiniteAtomic,
-    GaussianKnownVar,
-    NormalInverseGamma,
-    SymmetricDirichlet,
-)
-from .partitions import sample_log_categorical
+from .kernels import GaussianKnownVar, NormalInverseGamma, SymmetricDirichlet
 
 __all__ = [
     "DataError",
@@ -96,11 +89,6 @@ def _student_t_logpdf_scalar(x: float, df: float, loc: float, scale: float) -> f
         - math.log(scale)
         - (df + 1.0) / 2.0 * math.log1p(z * z / df)
     )
-
-
-def _log_sum_exp(values) -> float:
-    top = max(values)
-    return top + math.log(sum(math.exp(v - top) for v in values))
 
 
 def log_sum_exp_array(a: np.ndarray) -> float:
@@ -205,36 +193,18 @@ class GaussianModel(_GaussianStats):
 
 
 class KnownVarGaussianModel(_GaussianStats):
-    """Gaussian likelihood with known observation variance.
+    """Gaussian likelihood with known observation variance and a conjugate
+    GaussianKnownVar (Normal) base over the cluster mean.  A box keeps
+    [count, sum, sum of squares], added to and removed from in O(1)."""
 
-    The base over the cluster mean is either GaussianKnownVar (conjugate
-    normal-normal) or FiniteAtomic (exact discrete posterior); the latter is
-    what makes small state spaces exhaustively enumerable in tests.  Either
-    way a box keeps [count, sum, sum of squares], added to and removed from
-    in O(1).  Under the atomic base, atom a scores
-    log w_a + n (-a^2 / 2 sigma^2) + sum (a / sigma^2): the log of its
-    weight times the observations' likelihood at a, plus
-    n log(2 pi sigma^2) / 2 + (sum of squares) / 2 sigma^2.  That part is
-    the same for every atom, so it cancels in the posterior and the
-    predictive; only `log_marginal` takes it off.
-    """
-
-    def __init__(self, base, obs_sigma: float):
+    def __init__(self, base: GaussianKnownVar, obs_sigma: float):
         if obs_sigma <= 0:
             raise ValueError("obs_sigma must be positive")
-        if not isinstance(base, (GaussianKnownVar, FiniteAtomic)):
-            raise TypeError("base must be GaussianKnownVar or FiniteAtomic")
+        if not isinstance(base, GaussianKnownVar):
+            raise TypeError("base must be GaussianKnownVar")
         self.base = base
         self.obs_sigma = float(obs_sigma)
         self._obs_var = obs_sigma * obs_sigma
-        self._atomic = isinstance(base, FiniteAtomic)
-        if self._atomic:
-            self._atoms = [float(a) for a in base.atoms]
-            # per atom: log w_a, -a^2 / 2 sigma^2 and a / sigma^2
-            self._atom_terms = [
-                (math.log(w), -a * a / (2.0 * self._obs_var), a / self._obs_var)
-                for a, w in zip(self._atoms, base.weights)
-            ]
 
     def log_likelihood(self, z, u):
         """log N(z; u, obs_var) at a float mean u, or one value per entry of
@@ -248,20 +218,10 @@ class KnownVarGaussianModel(_GaussianStats):
         mean = (b.mu0 / (b.sigma0 * b.sigma0) + s / self._obs_var) / prec
         return mean, 1.0 / prec
 
-    def _atom_scores(self, stats):
-        n, s = stats[0], stats[1]
-        return [lw + n * sq + s * lin for lw, sq, lin in self._atom_terms]
-
     def log_marginal(self, stats) -> float:
         """Log density of a box's observations with its mean integrated
         out: the product of its sequential predictives."""
         n, _s, ss = stats
-        if self._atomic:
-            return (
-                _log_sum_exp(self._atom_scores(stats))
-                - 0.5 * n * (_LOG_2PI + math.log(self._obs_var))
-                - ss / (2.0 * self._obs_var)
-            )
         b = self.base
         prior_prec = 1.0 / (b.sigma0 * b.sigma0)
         mean, var = self._posterior_mean_var(stats)
@@ -272,22 +232,14 @@ class KnownVarGaussianModel(_GaussianStats):
         )
 
     def posterior_sample_from_stats(self, stats, rng: np.random.Generator):
-        if self._atomic:
-            return self._atoms[sample_log_categorical(self._atom_scores(stats), rng)[0]]
         mean, var = self._posterior_mean_var(stats)
         return float(rng.normal(mean, math.sqrt(var)))
 
     def predictive_logp(self, stats, z) -> float:
-        if self._atomic:
-            scores = self._atom_scores(stats)
-            joint = [sc + _norm_logpdf(z, a, self._obs_var) for sc, a in zip(scores, self._atoms)]
-            return _log_sum_exp(joint) - _log_sum_exp(scores)
         mean, var = self._posterior_mean_var(stats)
         return _norm_logpdf(z, mean, var + self._obs_var)
 
     def predictive_grid(self, stats, grid: np.ndarray) -> np.ndarray:
-        """Predictive density on a grid; Normal base only (the density
-        estimate rejects an atomic base)."""
         mean, var = self._posterior_mean_var(stats)
         return np.exp(normal_logpdf(np.asarray(grid, dtype=float), mean, var + self._obs_var))
 

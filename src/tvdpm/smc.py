@@ -291,7 +291,7 @@ def _density_component(model):
     kernels; raises ValueError for models without one."""
     if isinstance(model, GaussianModel):
         return lambda u: (u[:, 0], u[:, 1])
-    if isinstance(model, KnownVarGaussianModel) and not model._atomic:
+    if isinstance(model, KnownVarGaussianModel):
         var = model.obs_sigma ** 2
         return lambda u: (u, np.full(len(u), var))
     raise ValueError("density estimation needs a Gaussian observation model")
@@ -323,12 +323,15 @@ def estimate_density(population: ParticlePopulation, grid: np.ndarray, model) ->
         # a complex key sorts and compares on both parts
         key, which = np.unique(mean + 1j * var, return_inverse=True)
         mean, var = key.real, key.imag
-        box_w = np.bincount(which, mass * scale[row]) / np.sqrt(2.0 * np.pi * var)
-        # the (grid, component) Gaussian matrix, built in place
-        kernels = np.subtract.outer(grid, mean)
-        np.square(kernels, out=kernels)
-        kernels *= -0.5 / var
-        np.exp(kernels, out=kernels)
+        # the (grid, component) Gaussian matrix, built in place; a variance
+        # or a distance whose square overflows to inf gives a zero kernel,
+        # the IEEE limit, so the overflow is not reported
+        with np.errstate(over="ignore"):
+            box_w = np.bincount(which, mass * scale[row]) / np.sqrt(2.0 * np.pi * var)
+            kernels = np.subtract.outer(grid, mean)
+            np.square(kernels, out=kernels)
+            kernels *= -0.5 / var
+            np.exp(kernels, out=kernels)
         values = values + kernels @ box_w
     return values
 

@@ -2,7 +2,10 @@
 
 Everything here is deliberately brute force (exhaustive enumeration, direct
 convolution quadrature, unit-level replay) and shares no code path with the
-implementations it checks.
+implementations it checks.  One test model lives here too:
+`AtomicGaussianModel`, a known-variance Gaussian over a `FiniteAtomic`
+base, whose exact discrete posterior lets the toy posteriors be enumerated;
+it is pinned against the per-observation `atomic_*` sums.
 """
 
 from __future__ import annotations
@@ -11,13 +14,14 @@ import copy
 import itertools
 import math
 from collections import Counter, defaultdict
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
 from scipy.special import logsumexp
 from scipy.stats import kstest, kstwo, norm
 
-from tvdpm.partitions import CountsVector
+from tvdpm.partitions import CountsVector, sample_log_categorical
 from tvdpm.urn import (
     ComposePolicy,
     DeletionPolicy,
@@ -533,6 +537,100 @@ def known_var_log_density(u, stats, base, obs_sigma) -> float:
     return _normal_logpdf(u, mean, 1.0 / prec)
 
 
+@dataclass(frozen=True)
+class FiniteAtomic:
+    """Discrete base measure on a fixed set of scalar atoms."""
+
+    atoms: tuple[float, ...]
+    weights: tuple[float, ...] = field(default=())
+
+    def __post_init__(self):
+        if not self.atoms:
+            raise ValueError("need at least one atom")
+        w = self.weights or tuple(1.0 / len(self.atoms) for _ in self.atoms)
+        if len(w) != len(self.atoms) or any(x <= 0 for x in w):
+            raise ValueError("weights must be positive and match atoms")
+        total = sum(w)
+        object.__setattr__(self, "weights", tuple(x / total for x in w))
+
+
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _log_sum_exp(values) -> float:
+    top = max(values)
+    return top + math.log(sum(math.exp(v - top) for v in values))
+
+
+class AtomicGaussianModel:
+    """Gaussian likelihood with known observation variance and a
+    FiniteAtomic base over the cluster mean: an exact discrete posterior,
+    which makes small state spaces exhaustively enumerable.  It has the
+    model interface the samplers call, but no density grid.
+
+    A box keeps [count, sum, sum of squares], added to and removed from in
+    O(1).  Atom a scores log w_a + n (-a^2 / 2 sigma^2) + sum (a / sigma^2):
+    the log of its weight times the observations' likelihood at a, plus
+    n log(2 pi sigma^2) / 2 + (sum of squares) / 2 sigma^2.  That part is
+    the same for every atom, so it cancels in the posterior and the
+    predictive; only `log_marginal` takes it off.
+    """
+
+    def __init__(self, base: FiniteAtomic, obs_sigma: float):
+        if obs_sigma <= 0:
+            raise ValueError("obs_sigma must be positive")
+        self.base = base
+        self.obs_sigma = float(obs_sigma)
+        self._obs_var = obs_sigma * obs_sigma
+        self._atoms = [float(a) for a in base.atoms]
+        # per atom: log w_a, -a^2 / 2 sigma^2 and a / sigma^2
+        self._atom_terms = [
+            (math.log(w), -a * a / (2.0 * self._obs_var), a / self._obs_var)
+            for a, w in zip(self._atoms, base.weights)
+        ]
+
+    def empty_stats(self):
+        return [0, 0.0, 0.0]
+
+    def stats_add(self, stats, z):
+        stats[0] += 1
+        stats[1] += z
+        stats[2] += z * z
+
+    def stats_remove(self, stats, z):
+        stats[0] -= 1
+        stats[1] -= z
+        stats[2] -= z * z
+
+    def _norm_logpdf(self, x, mean):
+        return -0.5 * (_LOG_2PI + math.log(self._obs_var)) - (x - mean) ** 2 / (2.0 * self._obs_var)
+
+    def log_likelihood(self, z, u):
+        """log N(z; u, obs_var) at a float mean u, or one value per entry of
+        an (m,) array of means."""
+        return self._norm_logpdf(z, u)
+
+    def _atom_scores(self, stats):
+        n, s = stats[0], stats[1]
+        return [lw + n * sq + s * lin for lw, sq, lin in self._atom_terms]
+
+    def log_marginal(self, stats) -> float:
+        n, _s, ss = stats
+        return (
+            _log_sum_exp(self._atom_scores(stats))
+            - 0.5 * n * (_LOG_2PI + math.log(self._obs_var))
+            - ss / (2.0 * self._obs_var)
+        )
+
+    def posterior_sample_from_stats(self, stats, rng: np.random.Generator):
+        return self._atoms[sample_log_categorical(self._atom_scores(stats), rng)[0]]
+
+    def predictive_logp(self, stats, z) -> float:
+        scores = self._atom_scores(stats)
+        joint = [sc + self._norm_logpdf(z, a) for sc, a in zip(scores, self._atoms)]
+        return _log_sum_exp(joint) - _log_sum_exp(scores)
+
+
 def atomic_log_likelihoods(observations, atoms, obs_sigma) -> list[float]:
     """Per atom a, sum_i log N(z_i; a, obs_sigma^2), one observation at a
     time: the slow path the atomic model's closed form on [count, sum,
@@ -595,9 +693,9 @@ def parameter_log_density(model, stats, u) -> float:
 
     if isinstance(model, GaussianModel):
         return nig_log_density(u, stats, model.base)
+    if isinstance(model, AtomicGaussianModel):
+        return atomic_log_density(u, stats, model.base, model.obs_sigma)
     if isinstance(model, KnownVarGaussianModel):
-        if model._atomic:
-            return atomic_log_density(u, stats, model.base, model.obs_sigma)
         return known_var_log_density(u, stats, model.base, model.obs_sigma)
     if isinstance(model, TopicModel):
         return dirichlet_log_density(u, stats, model.base)
@@ -719,7 +817,7 @@ def reference_density(population, grid, model) -> np.ndarray:
 
     if isinstance(model, GaussianModel):
         comp = lambda u: (u[0], u[1])
-    elif isinstance(model, KnownVarGaussianModel) and not model._atomic:
+    elif isinstance(model, KnownVarGaussianModel):
         comp = lambda u: (u, model.obs_sigma ** 2)
     else:
         raise ValueError("density estimation needs a Gaussian observation model")

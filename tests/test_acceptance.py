@@ -23,7 +23,6 @@ from tvdpm.diagnostics import (
 )
 from tvdpm.ensemble import UrnEnsemble, batch_partition_keys
 from tvdpm.kernels import (
-    FiniteAtomic,
     GaussianAR1,
     GaussianKnownVar,
     NormalInverseGamma,
@@ -44,7 +43,15 @@ from tvdpm.urn import (
     step,
 )
 
-from .oracles import canonical_state_key, counts_of, enumerate_toy_posterior, polya_urn_sample, tv
+from .oracles import (
+    AtomicGaussianModel,
+    FiniteAtomic,
+    canonical_state_key,
+    counts_of,
+    enumerate_toy_posterior,
+    polya_urn_sample,
+    tv,
+)
 
 
 def report(name: str, passed: bool, detail: str):
@@ -268,7 +275,7 @@ def test_criterion_07_mcmc_toy_exactness():
     atoms, weights = (-1.0, 1.5), (0.5, 0.5)
     obs = [(-0.8, 1.2), (1.4, -1.1)]
     exact = enumerate_toy_posterior(obs, theta, rho, atoms, weights, sigma)
-    model = KnownVarGaussianModel(FiniteAtomic(atoms, weights), sigma)
+    model = AtomicGaussianModel(FiniteAtomic(atoms, weights), sigma)
     rng = np.random.default_rng(107)
     state = MCMCState.from_prior(
         2, 2, theta, rho, rng, observations=obs, model=model, mode="collapsed"

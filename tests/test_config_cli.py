@@ -401,6 +401,51 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg))
         assert run_cli(args)[0] == 0
 
+    def _checkpoint_config(self, tmp_path, every, path):
+        """The topic mcmc config at 3 sweeps, with `checkpoint_every` and
+        `output.checkpoint_path` each set only when not None."""
+        args = write_corpus(tmp_path, [{"t": 1, "words": [0, 3]}, {"t": 2, "words": [1, 1]}])
+        cfg_path = tmp_path / "m.json"
+        cfg = json.loads(cfg_path.read_text())
+        cfg["inference"]["sweeps"] = 3
+        if every is not None:
+            cfg["inference"]["checkpoint_every"] = every
+        if path is not None:
+            cfg["output"] = {"checkpoint_path": str(tmp_path / path)}
+        cfg_path.write_text(json.dumps(cfg))
+        return args
+
+    def test_mcmc_checkpoint_every_needs_a_path(self, tmp_path):
+        # it ran every sweep and wrote no checkpoint
+        code, _, err = run_cli(self._checkpoint_config(tmp_path, 1, None))
+        assert code == 2 and err.startswith("error: ") and "output.checkpoint_path" in err
+        assert not (tmp_path / "o.jsonl").exists()
+
+    @pytest.mark.parametrize("every", [None, 0], ids=["absent", "zero"])
+    def test_mcmc_checkpoint_path_needs_a_period(self, tmp_path, every):
+        # it ran every sweep and wrote no checkpoint
+        code, _, err = run_cli(self._checkpoint_config(tmp_path, every, "ck"))
+        assert code == 2 and err.startswith("error: ") and "inference.checkpoint_every" in err
+        assert not (tmp_path / "o.jsonl").exists()
+        assert not list(tmp_path.glob("ck*"))
+
+    def test_mcmc_checkpoint_period_past_the_last_sweep_runs(self, tmp_path):
+        # perfbench's mcmc-topic workload checkpoints every 500 of 200 sweeps
+        assert run_cli(self._checkpoint_config(tmp_path, 4, "ck"))[0] == 0
+        assert len((tmp_path / "o.jsonl").read_text().splitlines()) == 3
+        assert not list(tmp_path.glob("ck*"))
+
+    def test_smc_checkpoint_path_is_usage_error(self, tmp_path):
+        # the filter took the key and wrote no checkpoint
+        args = write_stream(tmp_path, [{"t": 1, "values": [0.1]}])
+        cfg_path = pathlib.Path(args[2])
+        cfg = json.loads(cfg_path.read_text())
+        cfg["output"] = {"checkpoint_path": str(tmp_path / "ck")}
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(args)
+        assert code == 2 and err.startswith("error: ") and "output.checkpoint_path" in err
+        assert not (tmp_path / "o.jsonl").exists()
+
     def _smc_topic_config(self, tmp_path):
         args = write_corpus(tmp_path, [{"t": 1, "words": [0, 3]}, {"t": 2, "words": [1, 1]}])
         cfg_path = tmp_path / "m.json"
@@ -742,6 +787,25 @@ class TestBadData:
         assert code == 0, err
         text = (tmp_path / "o.jsonl").read_text()
         assert "NaN" not in text and "Infinity" not in text
+
+    def test_near_limit_value_writes_nothing_to_stderr(self, tmp_path):
+        # the density's Gaussian kernels overflowed to their IEEE limit, and
+        # NumPy reported it as two RuntimeWarnings on stderr
+        data = tmp_path / "big.jsonl"
+        data.write_text(json.dumps({"t": 1, "values": [1.3e154]}) + "\n")
+        cfg = json.loads((pathlib.Path(__file__).parents[1] / "examples_config" / "smc_density.json").read_text())
+        cfg["inference"]["n_particles"] = 20
+        cfg["data"] = {"path": str(data)}
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(cfg))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tvdpm.cli", "smc", "--config", str(cfg_path), "--out", str(tmp_path / "o.jsonl")],
+            capture_output=True, text=True, env=checkout_env(),
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        # json writes a non-finite float as NaN, Infinity or -Infinity
+        text = (tmp_path / "o.jsonl").read_text()
+        assert '"density"' in text and "NaN" not in text and "Infinity" not in text
 
     @pytest.mark.parametrize("word", [1.5, True, "1"], ids=["float", "bool", "text"])
     def test_word_id_not_an_integer(self, tmp_path, word):

@@ -6,7 +6,6 @@ from scipy import stats as sps
 
 from tvdpm.diagnostics import BrokenNoiseKernel
 from tvdpm.kernels import (
-    FiniteAtomic,
     GaussianAR1,
     GaussianKnownVar,
     NormalInverseGamma,
@@ -14,6 +13,9 @@ from tvdpm.kernels import (
     SymmetricDirichlet,
     sample_base,
 )
+from tvdpm.partitions import sample_categorical
+
+from .oracles import AtomicGaussianModel, FiniteAtomic
 
 
 class TestBaseMeasures:
@@ -48,8 +50,9 @@ class TestBaseMeasures:
         assert sps.kstest(draws, sps.norm.cdf).pvalue > 0.01
 
     def test_atomic_sampling(self, rng):
-        base = FiniteAtomic((-1.0, 2.0), (0.2, 0.8))
-        draws = [sample_base(base, rng) for _ in range(20_000)]
+        # the test-only atomic model draws from its base given no data
+        model = AtomicGaussianModel(FiniteAtomic((-1.0, 2.0), (0.2, 0.8)), 1.0)
+        draws = [model.posterior_sample_from_stats(model.empty_stats(), rng) for _ in range(20_000)]
         frac = sum(d == 2.0 for d in draws) / len(draws)
         assert abs(frac - 0.8) < 3 * math.sqrt(0.16 / 20_000)
 
@@ -60,10 +63,10 @@ class TestBaseMeasures:
         a, b = np.random.default_rng(1), np.random.default_rng(1)
         for _ in range(20):
             k = int(gen.integers(1, 12))
-            base = FiniteAtomic(tuple(gen.normal(size=k)), tuple(gen.exponential(size=k) + 1e-3))
+            w = gen.exponential(size=k) + 1e-3
+            p = tuple((w / w.sum()).tolist())
             for _ in range(500):
-                want = float(base.atoms[b.choice(k, p=base.weights)])
-                assert sample_base(base, a) == want
+                assert sample_categorical(p, a) == b.choice(k, p=p)
         assert a.bit_generator.state == b.bit_generator.state
 
 

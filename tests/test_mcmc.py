@@ -8,7 +8,6 @@ from scipy import stats as sps
 
 import tvdpm.mcmc as mcmc
 from tvdpm.kernels import (
-    FiniteAtomic,
     GaussianAR1,
     GaussianKnownVar,
     NormalInverseGamma,
@@ -28,7 +27,15 @@ from tvdpm.mcmc import (
 from tvdpm.partitions import enumerate_partitions, esf_log_prob
 
 from . import oracles
-from .oracles import canonical_state_key, counts_of, enumerate_toy_posterior, forward_alive_counts, tv
+from .oracles import (
+    AtomicGaussianModel,
+    FiniteAtomic,
+    canonical_state_key,
+    counts_of,
+    enumerate_toy_posterior,
+    forward_alive_counts,
+    tv,
+)
 
 
 class TestReconstructCounts:
@@ -256,7 +263,7 @@ class TestAllocationMove:
         assert tv(ours, ref) < 0.02
 
     def test_caches_survive_data_sweeps(self, rng):
-        model = KnownVarGaussianModel(FiniteAtomic((-1.0, 1.0)), 0.8)
+        model = AtomicGaussianModel(FiniteAtomic((-1.0, 1.0)), 0.8)
         obs = [(-0.9, 1.1), (0.2, -1.3), (1.0, 0.9)]
         state = MCMCState.from_prior(
             3, 2, 1.0, 0.5, rng, observations=obs, model=model, mode="collapsed"
@@ -312,7 +319,7 @@ def _pin_setups(rng, extra=False):
     gauss = KnownVarGaussianModel(GaussianKnownVar(0.0, 2.0), 1.0)
     topic = TopicModel(SymmetricDirichlet(2.0, 6))
     nig = GaussianModel(NormalInverseGamma(0.0, 0.1, 2.0, 1.0))
-    atomic = KnownVarGaussianModel(FiniteAtomic((-2.0, 0.0, 1.5), (0.3, 0.3, 0.4)), 0.8)
+    atomic = AtomicGaussianModel(FiniteAtomic((-2.0, 0.0, 1.5), (0.3, 0.3, 0.4)), 0.8)
     for rho in (0.0, 0.3, 0.9, 1.0):
         words = [tuple(int(w) for w in rng.integers(0, 6, n)) for _ in range(T)]
         values = [tuple(float(x) for x in rng.normal(0.0, 2.0, n)) for _ in range(T)]
@@ -518,7 +525,7 @@ class TestToyPosterior:
         atoms, weights = (-1.0, 1.5), (0.5, 0.5)
         obs = [(-0.8, 1.2), (1.4, -1.1)]
         exact = enumerate_toy_posterior(obs, theta, rho, atoms, weights, sigma)
-        model = KnownVarGaussianModel(FiniteAtomic(atoms, weights), sigma)
+        model = AtomicGaussianModel(FiniteAtomic(atoms, weights), sigma)
         state = MCMCState.from_prior(
             2, 2, theta, rho, rng, observations=obs, model=model, mode="collapsed"
         )
@@ -632,7 +639,7 @@ class TestLocations:
 
 class TestSummaries:
     def test_alive_boxes_and_loglik(self, rng):
-        model = KnownVarGaussianModel(FiniteAtomic((-1.0, 1.0)), 0.8)
+        model = AtomicGaussianModel(FiniteAtomic((-1.0, 1.0)), 0.8)
         obs = [(-0.9, 1.1), (0.2, -1.3)]
         state = MCMCState.from_prior(
             2, 2, 1.0, 0.5, rng, observations=obs, model=model, mode="collapsed"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
-from tvdpm.kernels import FiniteAtomic, GaussianKnownVar, NormalInverseGamma, SymmetricDirichlet
+from tvdpm.kernels import GaussianKnownVar, NormalInverseGamma, SymmetricDirichlet
 from tvdpm.models import (
     GaussianModel,
     KnownVarGaussianModel,
@@ -21,6 +21,8 @@ from tvdpm.models import (
 )
 
 from .oracles import (
+    AtomicGaussianModel,
+    FiniteAtomic,
     atomic_log_marginal,
     atomic_predictive_logp,
     dirichlet_predictive_k2,
@@ -227,7 +229,7 @@ class TestKnownVarGaussian:
 
     def test_atomic_predictive_small_bayes(self):
         # two atoms: exact Bayes worked out longhand
-        model = KnownVarGaussianModel(FiniteAtomic((0.0, 2.0)), 1.0)
+        model = AtomicGaussianModel(FiniteAtomic((0.0, 2.0)), 1.0)
         z0 = 1.9
 
         def phi(z, m):
@@ -238,7 +240,7 @@ class TestKnownVarGaussian:
         assert math.exp(model.predictive_logp(stats_of(model, [z0]), 0.5)) == pytest.approx(expected)
 
     def test_atomic_posterior_sampling(self, rng):
-        model = KnownVarGaussianModel(FiniteAtomic((0.0, 2.0)), 1.0)
+        model = AtomicGaussianModel(FiniteAtomic((0.0, 2.0)), 1.0)
         stats = stats_of(model, [1.9])
         draws = [model.posterior_sample_from_stats(stats, rng) for _ in range(20_000)]
 
@@ -250,7 +252,7 @@ class TestKnownVarGaussian:
         assert abs(frac - p2) < 3 * math.sqrt(p2 * (1 - p2) / 20_000)
 
     def test_stats_add_remove_roundtrip(self):
-        model = KnownVarGaussianModel(FiniteAtomic((0.0, 2.0)), 1.0)
+        model = KnownVarGaussianModel(GaussianKnownVar(0.0, 1.0), 1.0)
         stats = model.empty_stats()
         model.stats_add(stats, 1.0)
         model.stats_add(stats, -0.5)
@@ -262,6 +264,9 @@ class TestKnownVarGaussian:
     def test_base_validation(self):
         with pytest.raises(TypeError):
             KnownVarGaussianModel(NIG, 1.0)
+        # the atomic base is the test-only AtomicGaussianModel's
+        with pytest.raises(TypeError, match="GaussianKnownVar"):
+            KnownVarGaussianModel(FiniteAtomic((0.0, 2.0)), 1.0)
         with pytest.raises(ValueError):
             KnownVarGaussianModel(GaussianKnownVar(0.0, 1.0), 0.0)
 
@@ -284,7 +289,7 @@ class TestLogMarginal:
             lambda rng, n: [float(x) for x in rng.normal(1.0, 2.0, n)],
         ),
         "atomic": (
-            KnownVarGaussianModel(FiniteAtomic((-1.0, 0.0, 2.0), (0.2, 0.5, 0.3)), 0.8),
+            AtomicGaussianModel(FiniteAtomic((-1.0, 0.0, 2.0), (0.2, 0.5, 0.3)), 0.8),
             lambda rng, n: [float(x) for x in rng.normal(0.5, 1.5, n)],
         ),
         "topic": (
@@ -370,13 +375,13 @@ class TestAtomicClosedForm:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 40])
     def test_equals_per_observation_sums(self, n, rng):
-        model = KnownVarGaussianModel(self.BASE, self.SIGMA)
+        model = AtomicGaussianModel(self.BASE, self.SIGMA)
         assert self._worst_relative_error(model, n, rng) < 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 7, 40])
     def test_wrong_sigma_fails_the_pin(self, n, rng):
         # negative control: the oracle keeps sigma, the model is 1% off
-        model = KnownVarGaussianModel(self.BASE, 1.01 * self.SIGMA)
+        model = AtomicGaussianModel(self.BASE, 1.01 * self.SIGMA)
         assert self._worst_relative_error(model, n, rng) > 1e-6
 
 
@@ -386,9 +391,12 @@ def _stacked_locations(name, gen, m=60):
         locs = [(float(mu), float(v)) for mu, v in zip(gen.normal(0, 3, m), gen.gamma(2.0, 1.5, m))]
         return GaussianModel(NIG), locs, np.array(locs), gen.normal(0, 4, 8).tolist()
     if name in ("known-var", "atomic"):
-        base = GaussianKnownVar(0.0, 2.0) if name == "known-var" else FiniteAtomic((-2.0, 0.0, 2.0))
+        if name == "known-var":
+            model = KnownVarGaussianModel(GaussianKnownVar(0.0, 2.0), 0.7)
+        else:
+            model = AtomicGaussianModel(FiniteAtomic((-2.0, 0.0, 2.0)), 0.7)
         locs = gen.normal(0, 3, m).tolist()
-        return KnownVarGaussianModel(base, 0.7), locs, np.array(locs), gen.normal(0, 4, 8).tolist()
+        return model, locs, np.array(locs), gen.normal(0, 4, 8).tolist()
     K = 6
     stacked = gen.dirichlet(np.full(K, 0.5), size=m)
     stacked[3, 2] = 0.0  # a word the topic never emits

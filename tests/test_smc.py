@@ -10,7 +10,6 @@ import tvdpm.smc
 from tvdpm.config import build_filter_config, build_model, validate_config
 from tvdpm.datagen import DENSITY_PRESETS, gen_density_data
 from tvdpm.kernels import (
-    FiniteAtomic,
     GaussianAR1,
     GaussianKnownVar,
     NormalInverseGamma,
@@ -45,6 +44,8 @@ from tvdpm.urn import (
 )
 
 from .oracles import (
+    AtomicGaussianModel,
+    FiniteAtomic,
     dirichlet_multinomial_predictive,
     kalman_ar1_filter,
     reference_advance,
@@ -432,7 +433,7 @@ class TestRunFilterSetup:
         monkeypatch.setattr(tvdpm.smc, "advance", fail)
 
     def test_grid_needs_gaussian_density(self, rng, no_step):
-        model = KnownVarGaussianModel(FiniteAtomic((-1.0, 1.0)), 0.5)
+        model = AtomicGaussianModel(FiniteAtomic((-1.0, 1.0)), 0.5)
         cfg = FilterConfig(
             n_particles=3, theta=1.0, policy=UniformDeletion(0.9), grid=np.linspace(-2, 2, 5)
         )
@@ -506,7 +507,7 @@ _STEP_SETUPS = {
         _gaussian_batches(13),
     ),
     "atomic-base": lambda: (
-        KnownVarGaussianModel(FiniteAtomic((-2.0, 0.0, 2.0), (0.3, 0.3, 0.4)), 0.8),
+        AtomicGaussianModel(FiniteAtomic((-2.0, 0.0, 2.0), (0.3, 0.3, 0.4)), 0.8),
         StaticKernel(),
         FilterConfig(n_particles=30, theta=1.0, policy=SizeBiasedDeletion(2)),
         _gaussian_batches(14),
